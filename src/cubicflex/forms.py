@@ -10,7 +10,7 @@ coefficients, so integer inputs produce integer outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 
@@ -46,6 +46,22 @@ def _build_derivative_matrices():
 DERIV = _build_derivative_matrices()
 
 
+def _build_third_partials():
+    """THIRD[u, v, w] maps cubic coefficients to d3f / dz_u dz_v dz_w."""
+    T = np.zeros((3, 3, 3, 10))
+    for n, e in enumerate(EXP3):
+        for u, v, w in product(range(3), repeat=3):
+            low = list(e)
+            c = 1
+            for x in (u, v, w):
+                c *= low[x]
+                low[x] -= 1
+            T[u, v, w, n] = c
+    return T
+
+THIRD = _build_third_partials()
+
+
 def _build_hessian_tensor():
     """T[m,a,b,c] with hessian(f) = sum_{a,b,c} T[:,a,b,c] f_a f_b f_c.
 
@@ -54,23 +70,7 @@ def _build_hessian_tensor():
     coefficients are exact integer contractions of three copies of f.
     """
     # S[m, u, v, w]: coefficient of z_w in d^2(monomial m)/dz_u dz_v
-    S = np.zeros((10, 3, 3, 3))
-    for n, (i, j) in enumerate(MONOMIALS):
-        e = [i, j, 3 - i - j]
-        for u in range(3):
-            for v in range(3):
-                ee = list(e)
-                c = ee[u]
-                if c == 0:
-                    continue
-                ee[u] -= 1
-                c *= ee[v]
-                if c == 0:
-                    continue
-                ee[v] -= 1
-                # ee is now a unit vector; its nonzero slot is the linear term
-                w = ee.index(1)
-                S[n, u, v, w] = c
+    S = THIRD.transpose(3, 0, 1, 2)
     # TRIPROD[p,q,r,m]: z_p z_q z_r expressed in the cubic basis
     trip = np.zeros((3, 3, 3, 10))
     for p in range(3):
@@ -106,6 +106,14 @@ def monomial_values(points, exps):
             * P[:, None, 2] ** exps[None, :, 2])
 
 
+def chart_points(x, free):
+    """Points (n, 3) whose coordinates free are the first two columns of x
+    and whose remaining coordinate is 1."""
+    z = np.ones((len(x), 3), dtype=complex)
+    z[:, free] = x[:, :2]
+    return z
+
+
 def eval_coeffs(coeffs, points):
     """Evaluate a cubic coefficient vector at one point or a batch."""
     vals = monomial_values(points, EXP3) @ np.asarray(coeffs, dtype=complex)
@@ -139,43 +147,20 @@ def hessian_directional(coeffs, direction):
             + np.einsum('mabc,a,b,c->m', HESSIAN_TENSOR, a, a, b))
 
 
-# degree-1 basis (note index order: z3, z2, z1)
-MONOMIALS1 = [(0, 0), (0, 1), (1, 0)]
-MONOMIAL1_INDEX = {m: n for n, m in enumerate(MONOMIALS1)}
-EXP1 = np.array([(i, j, 1 - i - j) for i, j in MONOMIALS1])
-
-
-def _build_derivative_matrices_quadratic():
-    D = np.zeros((3, 3, 6))
-    for n, (i, j) in enumerate(MONOMIALS2):
-        k = 2 - i - j
-        e = (i, j, k)
-        for v in range(3):
-            if e[v] == 0:
-                continue
-            low = list(e)
-            low[v] -= 1
-            D[v, MONOMIAL1_INDEX[(low[0], low[1])], n] = e[v]
-    return D
-
-DERIV2 = _build_derivative_matrices_quadratic()
-
-
-def gradient_coeffs_quadratic(coeffs6):
-    """Partial-derivative coefficient vectors (3, 3) of a quadratic form."""
-    return DERIV2 @ np.asarray(coeffs6, dtype=complex)
+def third_partials(coeffs):
+    """The constant third partials of a cubic: (3, 3, 3), indexed by
+    variable."""
+    return THIRD @ np.asarray(coeffs, dtype=complex)
 
 
 def second_partials_matrix(coeffs, point):
-    """The 3x3 matrix of second partial derivatives evaluated at a point."""
-    a = np.asarray(coeffs, dtype=complex)
-    p = np.asarray(point, dtype=complex).reshape(1, 3)
-    g = gradient_coeffs(a)
-    lin = monomial_values(p, EXP1)[0]
-    M = np.zeros((3, 3), dtype=complex)
-    for u in range(3):
-        M[u] = gradient_coeffs_quadratic(g[u]) @ lin
-    return M
+    """Matrices of second partial derivatives at one point (3, 3) or a
+    batch of points (..., 3, 3).  A second partial of a cubic is linear,
+    so by Euler's relation it is the third partials contracted with the
+    point."""
+    P = np.asarray(point, dtype=complex)
+    M = P @ third_partials(coeffs).reshape(3, 9)
+    return M.reshape(P.shape[:-1] + (3, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -361,18 +346,32 @@ def proj_distance(p, q):
     Computed from the 2x2 minors of the pair, which keeps full relative
     precision for nearly proportional vectors.  Works for coordinate
     vectors of any fixed length, so it also serves as the metric on
-    coefficient space.
+    coefficient space.  A 2-D q gives the distances from p to each of its
+    rows.
     """
     p = np.asarray(p, dtype=complex).ravel()
-    q = np.asarray(q, dtype=complex).ravel()
+    q = np.asarray(q, dtype=complex)
+    Q = q.reshape(-1, len(p))
     np_ = np.linalg.norm(p)
-    nq = np.linalg.norm(q)
-    if np_ == 0.0 or nq == 0.0:
+    nq = np.linalg.norm(Q, axis=1)
+    if np_ == 0.0 or np.any(nq == 0.0):
         raise DegenerateInputError("zero vector has no projective distance")
-    outer = np.outer(p, q)
-    wedge = outer - outer.T
-    idx = np.triu_indices(len(p), k=1)
-    return float(min(1.0, np.linalg.norm(wedge[idx]) / (np_ * nq)))
+    i, j = np.triu_indices(len(p), k=1)
+    wedge = p[i] * Q[:, j] - p[j] * Q[:, i]
+    d = np.minimum(1.0, np.linalg.norm(wedge, axis=1) / (np_ * nq))
+    return d if q.ndim > 1 else float(d[0])
+
+
+def greedy_distinct(points, radius, distance=proj_distance):
+    """Indices of the points kept by the greedy rule: a point is kept when
+    it lies farther than radius from every point kept before it.
+    distance(p, Q) gives the distances from p to each row of Q."""
+    points = np.asarray(points)
+    kept = []
+    for i, p in enumerate(points):
+        if not kept or np.all(distance(p, points[kept]) > radius):
+            kept.append(i)
+    return kept
 
 
 def _check_independent(forms, need):

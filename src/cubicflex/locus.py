@@ -4,15 +4,16 @@ The nine inflection points (counted with intersection multiplicity) are
 the common zeros of the cubic and its Hessian.  They are found by
 eliminating one variable with a chart-line resultant, back-substituting
 along the corresponding pencil of lines, and Newton-correcting the
-simple solutions.  Multiplicity at a singular point of the curve is
-attributed by counting resultant roots whose projection line passes
-through that point; this stays exact even when floating-point noise
-smears a high-multiplicity resultant root into a loose cluster.
+simple solutions with the shared batched core in newton.py.
+Multiplicity at a singular point of the curve is attributed by counting
+resultant roots whose projection line passes through that point; this
+stays exact even when floating-point noise smears a high-multiplicity
+resultant root into a loose cluster.
 
-Singular points come from a multistart Newton on the gradient system
-with a deterministic start grid, followed by a local normal-form
-analysis (node / cusp / tacnode / ordinary triple point / singular
-line).
+Singular points come from a multistart Newton (the same core) on the
+gradient system with a deterministic start grid, followed by a local
+normal-form analysis (node / cusp / tacnode / ordinary triple point /
+singular line).
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ import numpy as np
 
 from .errors import (ChartError, CommonComponentError, DegenerateInputError,
                      MatchingError, NumericalError)
-from .forms import (EXP1, EXP2, EXP3, MONOMIAL_INDEX, CubicForm, ProjPoint,
-                    eval_coeffs, eval_gradient, gradient_coeffs,
-                    gradient_coeffs_quadratic, monomial_values, proj_distance,
-                    substitute_linear)
+from . import newton
+from .forms import (EXP2, EXP3, MONOMIAL_INDEX, CubicForm, ProjPoint,
+                    chart_points, eval_coeffs, eval_gradient,
+                    gradient_coeffs, greedy_distinct, monomial_values,
+                    proj_distance, second_partials_matrix, substitute_linear)
 from .roots import CHARTS, all_roots, cubic_in_variable, resultant_on_chart
 
 SINGULAR_START_COUNT = 60
@@ -102,37 +104,16 @@ def _start_grid(count, seed):
 
 def _newton_gradient_chart(coeffs, chart, starts, iters=240):
     """Newton for the two free gradient components on a pinned chart."""
-    grads = gradient_coeffs(coeffs)           # (3, 6)
     free = [v for v in range(3) if v != chart]
-    d2 = [gradient_coeffs_quadratic(grads[a]) for a in free]   # each (3, 3)
-    z = np.ones((len(starts), 3), dtype=complex)
-    z[:, free[0]] = starts[:, 0]
-    z[:, free[1]] = starts[:, 1]
-    with np.errstate(invalid='ignore', over='ignore'):
-        for _ in range(iters):
-            gvals = monomial_values(z, EXP2) @ grads.T       # (n, 3)
-            r = gvals[:, free]                               # two residuals
-            lin = monomial_values(z, EXP1)                   # (n, 3)
-            J = np.empty((len(z), 2, 2), dtype=complex)
-            for a_i in range(2):
-                rows = lin @ d2[a_i].T                       # (n, 3)
-                J[:, a_i, 0] = rows[:, free[0]]
-                J[:, a_i, 1] = rows[:, free[1]]
-            det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-            bad = np.abs(det) < 1e-280
-            det = np.where(bad, 1.0, det)
-            dx = (J[:, 1, 1] * r[:, 0] - J[:, 0, 1] * r[:, 1]) / det
-            dy = (J[:, 0, 0] * r[:, 1] - J[:, 1, 0] * r[:, 0]) / det
-            step = np.stack([dx, dy], axis=1)
-            step = np.where(bad[:, None], np.nan, step)
-            z[:, free[0]] -= step[:, 0]
-            z[:, free[1]] -= step[:, 1]
-            znorm = np.abs(z).max(axis=1)
-            z[znorm > 1e8, free[0]] = np.nan
-            moving = np.abs(step).max(axis=1) > 1e-15 * (1 + znorm)
-            if not np.any(moving & np.isfinite(znorm)):
-                break
-    return z
+    rows, cols = np.ix_(free, free)
+
+    def system(x):
+        z = chart_points(x, free)
+        M = second_partials_matrix(coeffs, z)
+        # the gradient of a cubic is M z / 2 by Euler's relation
+        return 0.5 * (M[:, free] @ z[:, :, None])[:, :, 0], M[:, rows, cols]
+
+    return chart_points(newton.solve(system, starts, iters)[0], free)
 
 
 def _cone_analysis(coeffs):
@@ -201,12 +182,7 @@ def singular_points(f, start_count=SINGULAR_START_COUNT, seed=SINGULAR_SEED):
     found = []
     for chart in range(3):
         z = _newton_gradient_chart(c, chart, starts)
-        keep = np.isfinite(z).all(axis=1)
-        z = z[keep]
-        if len(z) == 0:
-            continue
-        gvals = monomial_values(z, EXP2) @ gradient_coeffs(c).T
-        res = np.abs(gvals).max(axis=1)
+        res = np.abs(eval_gradient(c, z)).max(axis=1)
         scale = np.abs(z).max(axis=1) ** 2
         good = res < 1e-11 * np.maximum(scale, 1.0)
         good &= np.abs(z).max(axis=1) < 1e6
@@ -217,10 +193,8 @@ def singular_points(f, start_count=SINGULAR_START_COUNT, seed=SINGULAR_SEED):
     # smallest-residual representative of each wide cluster pins it best
     # (distinct singular points of a reduced cubic are far apart)
     found.sort(key=lambda t: t[0])
-    distinct = []
-    for _, p in found:
-        if all(proj_distance(p.coords, q.coords) > 1e-3 for q in distinct):
-            distinct.append(p)
+    distinct = [found[i][1] for i in
+                greedy_distinct([p.coords for _, p in found], 1e-3)]
     if len(distinct) > 4:
         raise NumericalError(
             f"{len(distinct)} isolated singular candidates exceed the "
@@ -230,30 +204,21 @@ def singular_points(f, start_count=SINGULAR_START_COUNT, seed=SINGULAR_SEED):
 
 
 def local_expansion(coeffs, point, dir_u, dir_v):
-    """Exact coefficients e[i][j] of f(p + u*du + v*dv) in powers u^i v^j."""
-    p = np.asarray(point, dtype=complex)
-    du = np.asarray(dir_u, dtype=complex)
-    dv = np.asarray(dir_v, dtype=complex)
+    """Exact coefficients e[i][j] of f(p + u*du + v*dv) in powers u^i v^j.
+
+    A cubic is its own Taylor expansion, and by Euler's relation every
+    coefficient is a value, a directional derivative or a second
+    derivative of f at p, du or dv; integer input stays exact.
+    """
+    P = np.array([point, dir_u, dir_v], dtype=complex)
+    f = eval_coeffs(coeffs, P)
+    g = eval_gradient(coeffs, P)            # rows: grad f at p, du, dv
     out = np.zeros((4, 4), dtype=complex)
-    c = np.asarray(coeffs, dtype=complex)
-    for n in range(10):
-        if c[n] == 0:
-            continue
-        e = EXP3[n]
-        acc = {(0, 0): c[n]}
-        for r in range(3):
-            for _ in range(e[r]):
-                nxt = {}
-                for (i, j), v in acc.items():
-                    for (di, dj, w) in ((0, 0, p[r]), (1, 0, du[r]),
-                                        (0, 1, dv[r])):
-                        if w == 0:
-                            continue
-                        key = (i + di, j + dj)
-                        nxt[key] = nxt.get(key, 0.0 + 0.0j) + v * w
-                acc = nxt
-        for (i, j), v in acc.items():
-            out[i, j] += v
+    out[0, 0], out[3, 0], out[0, 3] = f
+    out[1, 0], out[0, 1] = g[0] @ P[1], g[0] @ P[2]
+    out[2, 0], out[0, 2] = g[1] @ P[0], g[2] @ P[0]
+    out[2, 1], out[1, 2] = g[1] @ P[2], g[2] @ P[1]
+    out[1, 1] = P[1] @ second_partials_matrix(coeffs, P[0]) @ P[2]
     return out
 
 
@@ -262,10 +227,7 @@ def _local_type(coeffs, point):
     p = point.coords
     chart = int(np.argmax(np.abs(p)))
     free = [v for v in range(3) if v != chart]
-    du = np.zeros(3, dtype=complex)
-    dv = np.zeros(3, dtype=complex)
-    du[free[0]] = 1.0
-    dv[free[1]] = 1.0
+    du, dv = np.eye(3, dtype=complex)[free]
     E = local_expansion(coeffs, p, du, dv)
     # the point itself is only known to ~1e-5 at the most degenerate
     # type (tacnode), which contaminates the expansion coefficients
@@ -341,44 +303,50 @@ def _line_candidates(fc, elim, swap, t):
     return out
 
 
+def free_coords(chart):
+    """(n, 2) indices of the coordinates not pinned by chart (n,)."""
+    return (chart[:, None] + np.array([1, 2])) % 3
+
+
+def flex_system(fc, hc, z0, free):
+    """The inflection equations {F, H} = 0 in the coordinates free (n, 2)
+    of the rows of z0, the third coordinate of each row held fixed.
+
+    Returns the start x0 (n, 2), lift(x), the points with those
+    coordinates set to x, and system(x), the residuals (n, 2) and
+    Jacobians (n, 2, 2) there.
+    """
+    grads = np.concatenate([gradient_coeffs(fc), gradient_coeffs(hc)]).T
+    rows = np.arange(len(z0))[:, None]
+    pick = (rows[:, :, None], np.array([[0], [1]]), free[:, None, :])
+
+    def lift(x):
+        z = z0.copy()
+        z[rows, free] = x
+        return z
+
+    def system(x):
+        z = lift(x)
+        G = (monomial_values(z, EXP2) @ grads).reshape(-1, 2, 3)
+        # F = z . grad F / 3 by Euler's relation, and likewise H
+        return (G @ z[:, :, None])[:, :, 0] / 3, G[pick]
+
+    return z0[rows, free], lift, system
+
+
 def _batch_newton_flex(fc, hc, pts, iters=18):
     """Newton-correct candidate inflection points on the 2x2 system."""
     if len(pts) == 0:
         return np.zeros((0, 3), dtype=complex), np.zeros(0, dtype=bool)
-    z = np.array([p.coords for p in pts], dtype=complex)
-    pin = np.argmax(np.abs(z), axis=1)
-    n = len(z)
-    rowsel = np.arange(n)
-    freesel = np.array([[v for v in range(3) if v != k] for k in pin])
-    active = np.ones(n, dtype=bool)
-    for _ in range(iters):
-        fv = eval_coeffs(fc, z)
-        hv = eval_coeffs(hc, z)
-        gf = eval_gradient(fc, z)
-        gh = eval_gradient(hc, z)
-        J00 = gf[rowsel, freesel[:, 0]]
-        J01 = gf[rowsel, freesel[:, 1]]
-        J10 = gh[rowsel, freesel[:, 0]]
-        J11 = gh[rowsel, freesel[:, 1]]
-        det = J00 * J11 - J01 * J10
-        ok = np.abs(det) > 1e-280
-        det = np.where(ok, det, 1.0)
-        dx = (J11 * fv - J01 * hv) / det
-        dy = (J00 * hv - J10 * fv) / det
-        step = np.where((active & ok)[:, None],
-                        np.stack([dx, dy], axis=1), 0.0)
-        z[rowsel, freesel[:, 0]] -= step[:, 0]
-        z[rowsel, freesel[:, 1]] -= step[:, 1]
-        small = np.abs(step).max(axis=1) < 1e-13 * (1 + np.abs(z).max(axis=1))
-        active &= ~small
-        if not active.any():
-            break
-    fv = np.abs(eval_coeffs(fc, z))
-    hv = np.abs(eval_coeffs(hc, z))
-    norm = np.abs(z).max(axis=1) ** 3
-    good = (fv < 1e-10 * norm) & (hv < 1e-10 * norm)
-    good &= np.abs(z).max(axis=1) < 1e7
-    return z, good
+    z0 = np.array([p.coords for p in pts], dtype=complex)
+    # each row keeps its largest coordinate fixed
+    x0, lift, system = flex_system(
+        fc, hc, z0, free_coords(np.argmax(np.abs(z0), axis=1)))
+    x, _ = newton.solve(system, x0, iters)
+    z = lift(x)
+    size = np.abs(z).max(axis=1)
+    good = (np.abs(system(x)[0]) < 1e-10 * size[:, None] ** 3).all(axis=1)
+    return z, good & (size < 1e7)
 
 
 def _chart_projection(coords, elim, swap):
@@ -469,6 +437,10 @@ def inflection_points(f, cluster_radius=1e-5, allow_transforms=True):
             "cubic has a singular line; the inflection scheme is not finite")
     sing_pts = [sp.point for sp in sing.points]
 
+    def away_from_singular(p):
+        return all(proj_distance(p.coords, s.coords) >= 1e-3
+                   for s in sing_pts)
+
     simple = []          # discovered simple inflection points (ProjPoint)
     chart_data = []      # (elim, swap, rootset) for usable charts
     zero_charts = 0
@@ -486,23 +458,16 @@ def inflection_points(f, cluster_radius=1e-5, allow_transforms=True):
         except NumericalError:
             continue
         # discovery: Newton-correct candidates on lines through each root
-        cands = []
-        for t in rs.roots:
-            for p in _line_candidates(fc, elim, swap, t):
-                if abs(eval_coeffs(hc, p.coords)) > 1e-2:
-                    continue
-                if any(proj_distance(p.coords, s.coords) < 1e-3
-                       for s in sing_pts):
-                    continue
-                cands.append(p)
+        cands = [p for t in rs.roots
+                 for p in _line_candidates(fc, elim, swap, t)
+                 if abs(eval_coeffs(hc, p.coords)) <= 1e-2
+                 and away_from_singular(p)]
         z, good = _batch_newton_flex(fc, hc, cands)
-        for row in np.nonzero(good)[0]:
-            p = ProjPoint(z[row])
-            if any(proj_distance(p.coords, s.coords) < 1e-3
-                   for s in sing_pts):
-                continue
-            if all(proj_distance(p.coords, q.coords) > 1e-7 for q in simple):
-                simple.append(p)
+        new = [p for p in map(ProjPoint, z[good]) if away_from_singular(p)]
+        # the points kept from earlier charts stay first, so they survive
+        pts = simple + new
+        simple = [pts[i] for i in
+                  greedy_distinct([p.coords for p in pts], 1e-7)]
         chart_data.append((elim, swap, rs))
         assignment = _assemble(chart_data, simple + sing_pts, len(simple))
         if assignment is not None:

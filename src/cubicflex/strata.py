@@ -13,6 +13,9 @@ arbiter of crossing multiplicity.
 
 net_cusp_members() finds the cuspidal members of a two-parameter net by
 a four-equation multistart Newton.
+
+Every Newton solve here builds residuals and Jacobians only; the
+iteration itself is the shared batched core in newton.py.
 """
 
 from __future__ import annotations
@@ -24,16 +27,15 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import newton
 from .errors import CrossingError, NumericalError
-from .forms import (EXP1, EXP2, EXP3, MONOMIAL_INDEX, MONOMIALS, CubicForm,
-                    ProjPoint, eval_coeffs, gradient_coeffs,
-                    gradient_coeffs_quadratic, monomial_values, proj_distance,
-                    substitute_linear)
+from .forms import (EXP2, MONOMIAL_INDEX, MONOMIALS, CubicForm, ProjPoint,
+                    chart_points, eval_coeffs, eval_gradient,
+                    gradient_coeffs, greedy_distinct, proj_distance,
+                    second_partials_matrix, substitute_linear,
+                    third_partials)
 from .locus import SingularSet, local_expansion, singular_points
 from .roots import RootSet, UniPoly, all_roots
-
-# variable z_v corresponds to index 2 - v in the degree-1 monomial basis
-_VAR1 = (2, 1, 0)
 
 CROSSING_SEED = 20240918
 NET_SEED = 20240919
@@ -147,10 +149,7 @@ def _branch_tangents(coeffs, node):
     p = node.coords
     chart = int(np.argmax(np.abs(p)))
     free = [v for v in range(3) if v != chart]
-    du = np.zeros(3, dtype=complex)
-    dv = np.zeros(3, dtype=complex)
-    du[free[0]] = 1.0
-    dv[free[1]] = 1.0
+    du, dv = np.eye(3, dtype=complex)[free]
     E = local_expansion(coeffs, p, du, dv)
     # quadratic part E20 u^2 + E11 uv + E02 v^2 factors into the two
     # branch directions
@@ -311,6 +310,13 @@ def _fixed_unitaries():
 _SAMPLING_FRAMES = _fixed_unitaries()
 
 
+def _chart_pair(pencil, chart):
+    """(c0, c1) with the chart's members c0 + u c1: chart 0 is f0 + u f1,
+    chart 1 is u f0 + f1."""
+    c0, c1 = pencil.f0.coeffs, pencil.f1.coeffs
+    return (c0, c1) if chart == 0 else (c1, c0)
+
+
 def pencil_discriminant_fit(pencil, chart=0):
     """Ascending coefficients of the degree-<=12 discriminant polynomial
     on one affine chart of the pencil (chart 0: f0 + u f1, chart 1:
@@ -321,9 +327,7 @@ def pencil_discriminant_fit(pencil, chart=0):
     coordinates rescales the discriminant by a nonzero constant without
     moving its roots, so retry in rotated frames.
     """
-    c0, c1 = pencil.f0.coeffs, pencil.f1.coeffs
-    if chart == 1:
-        c0, c1 = c1, c0
+    c0, c1 = _chart_pair(pencil, chart)
     # a pencil lying inside the discriminant yields pure rounding noise,
     # dozens of orders below any honest degree-12 value at this scale
     zero_floor = 1e-20 * max(np.abs(c0).max(), np.abs(c1).max()) ** 12
@@ -349,59 +353,24 @@ def pencil_discriminant_fit(pencil, chart=0):
 # ---------------------------------------------------------------------------
 # crossing search on a pencil
 
-def _second_partial_forms(coeffs):
-    """(3,3,3) array: [a][b] = linear-form coefficients of d2f/dza dzb."""
-    g = gradient_coeffs(coeffs)
-    return np.stack([gradient_coeffs_quadratic(g[a]) for a in range(3)])
-
-
 def _crossing_newton(pencil, pchart, zchart, starts, iters=80):
     """Multistart Newton for {grad F(t, z) = 0} in (z_free, u)."""
-    c0, c1 = pencil.f0.coeffs, pencil.f1.coeffs
-    if pchart == 1:
-        c0, c1 = c1, c0
-    g0, g1 = gradient_coeffs(c0), gradient_coeffs(c1)
-    sp0, sp1 = _second_partial_forms(c0), _second_partial_forms(c1)
+    c0, c1 = _chart_pair(pencil, pchart)
     free = [v for v in range(3) if v != zchart]
-    n = len(starts)
-    z = np.ones((n, 3), dtype=complex)
-    z[:, free[0]] = starts[:, 0]
-    z[:, free[1]] = starts[:, 1]
-    u = starts[:, 2].copy()
-    with np.errstate(invalid='ignore', over='ignore'):
-        for _ in range(iters):
-            mv2 = monomial_values(z, EXP2)              # (n, 6)
-            mv1 = monomial_values(z, EXP1)              # (n, 3)
-            G = mv2 @ g0.T + u[:, None] * (mv2 @ g1.T)  # (n, 3) residuals
-            J = np.empty((n, 3, 3), dtype=complex)
-            for a in range(3):
-                rows0 = mv1 @ sp0[a].T                  # (n, 3)
-                rows1 = mv1 @ sp1[a].T
-                J[:, a, 0] = rows0[:, free[0]] + u * rows1[:, free[0]]
-                J[:, a, 1] = rows0[:, free[1]] + u * rows1[:, free[1]]
-            J[:, :, 2] = mv2 @ g1.T
-            ok = np.isfinite(G).all(axis=1) & np.isfinite(J).all(axis=(1, 2))
-            step = np.zeros((n, 3), dtype=complex)
-            if ok.any():
-                try:
-                    step[ok] = np.linalg.solve(J[ok], G[ok][..., None])[..., 0]
-                except np.linalg.LinAlgError:
-                    for i in np.nonzero(ok)[0]:
-                        try:
-                            step[i] = np.linalg.solve(J[i], G[i])
-                        except np.linalg.LinAlgError:
-                            step[i] = np.nan
-            z[:, free[0]] -= step[:, 0]
-            z[:, free[1]] -= step[:, 1]
-            u -= step[:, 2]
-            big = (np.abs(z).max(axis=1) > 1e8) | (np.abs(u) > 1e8)
-            z[big, free[0]] = np.nan
-            u[big] = np.nan
-            moving = np.abs(step).max(axis=1) > 1e-15 * (1 + np.abs(u))
-            if not np.any(moving & np.isfinite(u)):
-                break
-    mv2 = monomial_values(z, EXP2)
-    G = mv2 @ g0.T + u[:, None] * (mv2 @ g1.T)
+
+    def system(x):
+        z, u = chart_points(x, free), x[:, 2]
+        M0 = second_partials_matrix(c0, z)
+        M1 = second_partials_matrix(c1, z)
+        M = M0 + u[:, None, None] * M1
+        # gradients by Euler's relation: grad f = M z / 2 for a cubic
+        g1 = 0.5 * (M1 @ z[:, :, None])
+        J = np.concatenate([M[:, :, free], g1], axis=2)
+        return 0.5 * (M @ z[:, :, None])[:, :, 0], J
+
+    x, _ = newton.solve(system, starts, iters)
+    z, u = chart_points(x, free), x[:, 2]
+    G = eval_gradient(c0, z) + u[:, None] * eval_gradient(c1, z)
     res = np.abs(G).max(axis=1)
     scale = np.maximum(np.abs(z).max(axis=1) ** 2, 1.0) * (1 + np.abs(u))
     good = np.isfinite(res) & (res < 1e-9 * scale)
@@ -409,59 +378,63 @@ def _crossing_newton(pencil, pchart, zchart, starts, iters=80):
     return z[good], u[good]
 
 
+def _cusp_jet(cs, a, b):
+    """A function of the rows x = (z_a, z_b, p_1, ...) for the member
+    cs[0] + sum_k p_k cs[k], the third coordinate pinned to 1.
+
+    It gives the residuals {f, f_a, f_b, det H2} (n, 4), their Jacobian
+    in x, and the full gradient; det H2 is the (a, b) minor of the second
+    partials, and its derivatives in z use the constant third partials.
+    """
+    thirds = np.stack([third_partials(c) for c in cs], axis=-1)
+
+    def jet(x):
+        z = chart_points(x, [a, b])
+        w = np.concatenate([np.ones((len(x), 1)), x[:, 2:]], axis=1)
+        Mk = np.stack([second_partials_matrix(c, z) for c in cs], axis=-1)
+        # by Euler's relation grad f = M z / 2 and f = z . grad f / 3
+        gk = 0.5 * np.einsum('nijk,nj->nik', Mk, z)
+        fk = np.einsum('nik,ni->nk', gk, z) / 3
+        g = np.einsum('nik,nk->ni', gk, w)
+        M = np.einsum('nijk,nk->nij', Mk, w)
+        T = np.einsum('ijlk,nk->nijl', thirds, w)
+
+        def ddet2(dM):
+            return (dM[:, a, a] * M[:, b, b] + M[:, a, a] * dM[:, b, b]
+                    - 2 * M[:, a, b] * dM[:, a, b])
+
+        det2 = M[:, a, a] * M[:, b, b] - M[:, a, b] ** 2
+        r = np.stack([(fk * w).sum(axis=1), g[:, a], g[:, b], det2], axis=1)
+        J = np.stack([
+            np.column_stack([g[:, a], g[:, b], fk[:, 1:]]),
+            np.column_stack([M[:, a, a], M[:, a, b], gk[:, a, 1:]]),
+            np.column_stack([M[:, b, a], M[:, b, b], gk[:, b, 1:]]),
+            np.column_stack([ddet2(T[..., a]), ddet2(T[..., b])]
+                            + [ddet2(Mk[..., k]) for k in range(1, len(cs))]),
+        ], axis=1)
+        return r, J, g
+
+    return jet
+
+
 def _refine_cusp_crossing(pencil, pchart, z0, u0, iters=60):
     """Newton on {f_a, f_b, det H2} near a degenerate crossing; regular
     at a cuspidal member where the plain gradient system is not."""
-    c0, c1 = pencil.f0.coeffs, pencil.f1.coeffs
-    if pchart == 1:
-        c0, c1 = c1, c0
-    g0, g1 = gradient_coeffs(c0), gradient_coeffs(c1)
-    sp0, sp1 = _second_partial_forms(c0), _second_partial_forms(c1)
     zchart = int(np.argmax(np.abs(z0)))
     a, b = [v for v in range(3) if v != zchart]
-    z = np.array(z0 / z0[zchart], dtype=complex)
-    u = complex(u0)
-    third0 = sp0            # constants: third partials tensor = sp[a][b][c]
-    third1 = sp1
-    for _ in range(iters):
-        mv2 = monomial_values(z[None, :], EXP2)[0]
-        mv1 = monomial_values(z[None, :], EXP1)[0]
-        grad = mv2 @ g0.T + u * (mv2 @ g1.T)
-        spv = np.einsum('abc,c->ab', sp0, mv1) + u * np.einsum(
-            'abc,c->ab', sp1, mv1)                      # second partials
-        det2 = spv[a, a] * spv[b, b] - spv[a, b] ** 2
-        r = np.array([grad[a], grad[b], det2])
-        # derivative of det2 w.r.t. coordinate w uses constant third partials
-        T = third0 + u * third1                          # (3,3,3)
+    jet = _cusp_jet(_chart_pair(pencil, pchart), a, b)
 
-        def ddet2(w):
-            m = _VAR1[w]
-            return (T[a, a][m] * spv[b, b] + spv[a, a] * T[b, b][m]
-                    - 2 * spv[a, b] * T[a, b][m])
+    def system(x):
+        r, J, _ = jet(x)
+        return r[:, 1:], J[:, 1:]
 
-        spv1 = np.einsum('abc,c->ab', sp1, mv1)
-        ddet2_u = (spv1[a, a] * spv[b, b] + spv[a, a] * spv1[b, b]
-                   - 2 * spv[a, b] * spv1[a, b])
-        gu = mv2 @ g1.T
-        J = np.array([
-            [spv[a, a], spv[a, b], gu[a]],
-            [spv[b, a], spv[b, b], gu[b]],
-            [ddet2(a), ddet2(b), ddet2_u],
-        ])
-        try:
-            step = np.linalg.solve(J, r)
-        except np.linalg.LinAlgError:
-            return None
-        z[a] -= step[0]
-        z[b] -= step[1]
-        u -= step[2]
-        if np.abs(step).max() < 1e-14 * (1 + abs(u)):
-            break
-    mv2 = monomial_values(z[None, :], EXP2)[0]
-    grad = mv2 @ g0.T + u * (mv2 @ g1.T)
-    if np.abs(grad).max() > 1e-8 * max(1.0, np.abs(z).max() ** 2):
+    z = z0 / z0[zchart]
+    x, _ = newton.solve(system, [[z[a], z[b], u0]], iters)
+    _, _, g = jet(x)
+    z = chart_points(x, [a, b])[0]
+    if not np.abs(g).max() <= 1e-8 * max(1.0, np.abs(z).max() ** 2):
         return None
-    return z, u
+    return z, x[0, 2]
 
 
 @dataclass(frozen=True)
@@ -517,48 +490,51 @@ def pencil_crossings(pencil, starts_per_chart=200, seed=CROSSING_SEED,
     inf_mult = 12 - poly.degree
 
     # Newton search for witnesses
-    found = []          # (u_proj (2,), zpoint)
+    hits, points = [], []
     starts = _crossing_starts(starts_per_chart, seed)
     for pchart in (0, 1):
         for zchart in range(3):
             z, u = _crossing_newton(pencil, pchart, zchart, starts)
             for zi, ui in zip(z, u):
-                t = np.array([1.0, ui]) if pchart == 0 else np.array([ui, 1.0])
-                found.append((t, ProjPoint(zi)))
-    dedup = []
-    for t, w in found:
-        if all(proj_distance(t, t2) > 1e-6 for t2, _ in dedup):
-            dedup.append((t, w))
+                hits.append([1.0, ui] if pchart == 0 else [ui, 1.0])
+                points.append(zi)
+    hits = np.array(hits, dtype=complex)
+    dedup = [(hits[i], ProjPoint(points[i]))
+             for i in greedy_distinct(hits, 1e-6)]
 
-    # match Newton crossings against fitted roots
+    # match Newton crossings against fitted roots: each witness belongs to
+    # the fitted root nearest to it
     fitted = [(np.array([1.0, r]), int(m))
               for r, m in zip(rs.roots, rs.multiplicities)]
     if inf_mult > 0:
         fitted.append((np.array([0.0, 1.0]), inf_mult))
+    groups = [[] for _ in fitted]
+    extra = []
+    for t, w in dedup:
+        d = proj_distance(t, [t_fit for t_fit, _ in fitted])
+        k = int(np.argmin(d))
+        if d[k] < 10 * cluster_radius:
+            groups[k].append((d[k], t, w))
+        else:
+            extra.append(t)
     crossings = []
-    used = set()
-    for t_fit, m in fitted:
-        match = [(i, w) for i, (t, w) in enumerate(dedup)
-                 if proj_distance(t, t_fit) < 10 * cluster_radius]
-        if not match:
+    for (t_fit, m), group in zip(fitted, groups):
+        if not group:
             raise CrossingError(
                 "count mismatch: interpolated discriminant root at "
                 f"{t_fit} has no Newton witness")
-        i, witness = match[0]
-        for i2, _ in match:
-            used.add(i2)
-        t_use = dedup[i][0]
-        label = _classify_crossing(pencil, t_use, witness)
-        # canonical parameter: (1, u) on the finite chart, (0, 1) at infinity
-        if abs(t_use[0]) > 1e-9 * abs(t_use[1]):
-            t_norm = np.array([1.0, t_use[1] / t_use[0]])
+        group.sort(key=lambda g: g[0])
+        _, t, w = group[0]
+        label = _classify_crossing(pencil, t, w)
+        # a root of multiplicity m with m distinct nodal witnesses is m
+        # simple crossings closer together than the fit could separate
+        if 1 < m == len(group) and label is StratumLabel.B1 and all(
+                _is_nodal(pencil.member(t2)) for _, t2, _ in group[1:]):
+            crossings.extend(_crossing(pencil, t2, 1, label, w2)
+                             for _, t2, w2 in group)
         else:
-            t_norm = np.array([0.0, 1.0])
-        crossings.append(Crossing(parameter=t_norm, multiplicity=m,
-                                  label=label, member=pencil.member(t_norm),
-                                  witness=witness))
-    if len(used) != len(dedup):
-        extra = [t for i, (t, _) in enumerate(dedup) if i not in used]
+            crossings.append(_crossing(pencil, t, m, label, w))
+    if extra:
         raise CrossingError(
             f"count mismatch: Newton found crossings {extra} outside the "
             "interpolated discriminant roots")
@@ -571,6 +547,23 @@ def pencil_crossings(pencil, starts_per_chart=200, seed=CROSSING_SEED,
                                   np.round(c.parameter[1].imag, 9)))
     return PencilCrossings(parameters=rs, infinite_multiplicity=inf_mult,
                            crossings=tuple(crossings))
+
+
+def _crossing(pencil, t, multiplicity, label, witness):
+    # canonical parameter: (1, u) on the finite chart, (0, 1) at infinity
+    if abs(t[0]) > 1e-9 * abs(t[1]):
+        t_norm = np.array([1.0, t[1] / t[0]])
+    else:
+        t_norm = np.array([0.0, 1.0])
+    return Crossing(parameter=t_norm, multiplicity=multiplicity, label=label,
+                    member=pencil.member(t_norm), witness=witness)
+
+
+def _is_nodal(member):
+    try:
+        return classify(member)[0] is StratumLabel.B1
+    except NumericalError:
+        return False
 
 
 def _classify_crossing(pencil, t, witness):
@@ -617,106 +610,21 @@ class NetCusp(NamedTuple):
 def _net_newton(net, zchart, starts_xy, iters=60):
     """Multistart Newton on {f, f_a, f_b, det H2} in (x, y, alpha, beta)
     for the member f0 + alpha f1 + beta f2, z_chart pinned to 1."""
-    c = [net.f0.coeffs, net.f1.coeffs, net.f2.coeffs]
-    g = [gradient_coeffs(ci) for ci in c]
-    sp = np.stack([_second_partial_forms(ci) for ci in c])   # (3,3,3,3)
     a, b = [v for v in range(3) if v != zchart]
-    ma, mb = _VAR1[a], _VAR1[b]
-    n = len(starts_xy)
-    z = np.ones((n, 3), dtype=complex)
-    z[:, a] = starts_xy[:, 0]
-    z[:, b] = starts_xy[:, 1]
+    jet = _cusp_jet([net.f0.coeffs, net.f1.coeffs, net.f2.coeffs], a, b)
 
-    with np.errstate(invalid='ignore', over='ignore', divide='ignore'):
-        # seed (alpha, beta) by solving the two gradient equations, which
-        # are linear in the net parameters, at the start point
-        mv2 = monomial_values(z, EXP2)
-        ga = [mv2 @ gi.T for gi in g]                    # each (n, 3)
-        det = (ga[1][:, a] * ga[2][:, b] - ga[2][:, a] * ga[1][:, b])
-        det = np.where(np.abs(det) < 1e-280, np.nan, det)
-        al = (-ga[0][:, a] * ga[2][:, b] + ga[0][:, b] * ga[2][:, a]) / det
-        be = (-ga[1][:, a] * ga[0][:, b] + ga[1][:, b] * ga[0][:, a]) / det
+    # seed (alpha, beta) by solving the two gradient equations, which
+    # are linear in the net parameters, at the start point
+    x0 = np.concatenate([starts_xy, np.zeros((len(starts_xy), 2))], axis=1)
+    r, J, _ = jet(x0)
+    x0[:, 2:] = newton.linear_solve(J[:, 1:3, 2:], -r[:, 1:3])
+    x, _ = newton.solve(lambda x: jet(x)[:2], x0, iters)
 
-        for _ in range(iters):
-            mv3 = monomial_values(z, EXP3)
-            mv2 = monomial_values(z, EXP2)
-            mv1 = monomial_values(z, EXP1)
-            fv = [mv3 @ ci for ci in c]                  # each (n,)
-            fval = fv[0] + al * fv[1] + be * fv[2]
-            ga = [mv2 @ gi.T for gi in g]
-            grad = (ga[0] + al[:, None] * ga[1] + be[:, None] * ga[2])
-            spz = np.einsum('kabm,nm->knab', sp, mv1)    # (3, n, 3, 3)
-            spv = (spz[0] + al[:, None, None] * spz[1]
-                   + be[:, None, None] * spz[2])
-            det2 = spv[:, a, a] * spv[:, b, b] - spv[:, a, b] ** 2
-            r = np.stack([fval, grad[:, a], grad[:, b], det2], axis=1)
-
-            # third partials are constants: T[k] = sp[k], combined with
-            # the current (alpha, beta)
-            T = (sp[0][None] + al[:, None, None, None] * sp[1][None]
-                 + be[:, None, None, None] * sp[2][None])
-
-            def ddet2_x(m):
-                return (T[:, a, a, m] * spv[:, b, b]
-                        + spv[:, a, a] * T[:, b, b, m]
-                        - 2 * spv[:, a, b] * T[:, a, b, m])
-
-            def ddet2_p(k):
-                return (spz[k][:, a, a] * spv[:, b, b]
-                        + spv[:, a, a] * spz[k][:, b, b]
-                        - 2 * spv[:, a, b] * spz[k][:, a, b])
-
-            J = np.empty((n, 4, 4), dtype=complex)
-            J[:, 0, 0] = grad[:, a]
-            J[:, 0, 1] = grad[:, b]
-            J[:, 0, 2] = fv[1]
-            J[:, 0, 3] = fv[2]
-            J[:, 1, 0] = spv[:, a, a]
-            J[:, 1, 1] = spv[:, a, b]
-            J[:, 1, 2] = ga[1][:, a]
-            J[:, 1, 3] = ga[2][:, a]
-            J[:, 2, 0] = spv[:, b, a]
-            J[:, 2, 1] = spv[:, b, b]
-            J[:, 2, 2] = ga[1][:, b]
-            J[:, 2, 3] = ga[2][:, b]
-            J[:, 3, 0] = ddet2_x(ma)
-            J[:, 3, 1] = ddet2_x(mb)
-            J[:, 3, 2] = ddet2_p(1)
-            J[:, 3, 3] = ddet2_p(2)
-            ok = np.isfinite(r).all(axis=1) & np.isfinite(J).all(axis=(1, 2))
-            step = np.full((n, 4), np.nan, dtype=complex)
-            if ok.any():
-                try:
-                    step[ok] = np.linalg.solve(J[ok], r[ok][..., None])[..., 0]
-                except np.linalg.LinAlgError:
-                    for i in np.nonzero(ok)[0]:
-                        try:
-                            step[i] = np.linalg.solve(J[i], r[i])
-                        except np.linalg.LinAlgError:
-                            pass
-            z[:, a] -= step[:, 0]
-            z[:, b] -= step[:, 1]
-            al -= step[:, 2]
-            be -= step[:, 3]
-            big = (np.abs(z).max(axis=1) > 1e8) | (np.abs(al) > 1e8) \
-                | (np.abs(be) > 1e8)
-            al[big] = np.nan
-            moving = (np.abs(step).max(axis=1)
-                      > 1e-15 * (1 + np.abs(al) + np.abs(be)))
-            if not np.any(moving & np.isfinite(al)):
-                break
-
-        mv3 = monomial_values(z, EXP3)
-        mv2 = monomial_values(z, EXP2)
-        mv1 = monomial_values(z, EXP1)
-        fval = np.abs(mv3 @ c[0] + al * (mv3 @ c[1]) + be * (mv3 @ c[2]))
-        ga = [mv2 @ gi.T for gi in g]
-        grad = ga[0] + al[:, None] * ga[1] + be[:, None] * ga[2]
-        gres = np.abs(grad).max(axis=1)
-        spz = np.einsum('kabm,nm->knab', sp, mv1)
-        spv = (spz[0] + al[:, None, None] * spz[1]
-               + be[:, None, None] * spz[2])
-        d2res = np.abs(spv[:, a, a] * spv[:, b, b] - spv[:, a, b] ** 2)
+    with np.errstate(invalid='ignore', over='ignore'):
+        r, _, grad = jet(x)
+    z, al, be = chart_points(x, [a, b]), x[:, 2], x[:, 3]
+    fval, d2res = np.abs(r[:, 0]), np.abs(r[:, 3])
+    gres = np.abs(grad).max(axis=1)
     msc = 1.0 + np.abs(al) + np.abs(be)
     zsc = np.maximum(np.abs(z).max(axis=1), 1.0)
     good = (np.isfinite(fval) & (fval < 1e-9 * msc * zsc ** 3)
@@ -759,11 +667,9 @@ def _net_cusp_search(net, starts, seed):
         z, al, be = _net_newton(net, zchart, sx)
         for zi, a_i, b_i in zip(z, al, be):
             hits.append((complex(a_i), complex(b_i), ProjPoint(zi)))
-    dedup = []
-    for (a_i, b_i, p) in hits:
-        if all(abs(a_i - a2) > 1e-6 or abs(b_i - b2) > 1e-6
-               for (a2, b2, _) in dedup):
-            dedup.append((a_i, b_i, p))
+    params = np.array([(a_i, b_i) for a_i, b_i, _ in hits])
+    dedup = [hits[i] for i in greedy_distinct(
+        params, 1e-6, lambda p, Q: np.abs(Q - p).max(axis=1))]
     out = []
     for (a_i, b_i, p) in dedup:
         member = CubicForm(net.f0.coeffs + a_i * net.f1.coeffs
@@ -777,9 +683,7 @@ def _net_cusp_search(net, starts, seed):
         mn = member.normalize()
         res = {
             "f": float(abs(eval_coeffs(mn.coeffs, p.coords))),
-            "grad": float(np.abs(
-                monomial_values(p.coords[None, :], EXP2)[0]
-                @ gradient_coeffs(mn.coeffs).T).max()),
+            "grad": float(np.abs(eval_gradient(mn.coeffs, p.coords)).max()),
         }
         out.append(NetCusp(a_i, b_i, p, res))
     out.sort(key=lambda nc: (round(nc.alpha.real, 9), round(nc.alpha.imag, 9),

@@ -3,10 +3,10 @@
 A loop in coefficient space (piecewise lines and circular arcs) is
 discretized adaptively; the nine inflection points of the moving cubic
 are carried in lockstep by an Euler predictor (implicit-function
-derivative of {F = 0, H = 0}) and a Newton corrector, with a pairwise
-proximity guard that detects collision with the discriminant.  Matching
-the transported points against the initial labels yields the monodromy
-permutation.
+derivative of {F = 0, H = 0}) and a Newton corrector, both solved by the
+shared batched core in newton.py, with a pairwise proximity guard that
+detects collision with the discriminant.  Matching the transported
+points against the initial labels yields the monodromy permutation.
 """
 
 from __future__ import annotations
@@ -18,10 +18,12 @@ import numpy as np
 
 from .errors import (CrossingError, DegenerateInputError, MatchingError,
                      NumericalError, SchemaError, TrackingError)
-from .forms import (EXP2, EXP3, CubicForm, Pencil, ProjPoint, eval_coeffs,
-                    gradient_coeffs, hessian_coeffs, hessian_directional,
-                    monomial_values, proj_distance)
-from .locus import InflectionPoint, InflectionSet, inflection_points
+from . import newton
+from .forms import (EXP3, CubicForm, Pencil, ProjPoint, eval_coeffs,
+                    hessian_coeffs, hessian_directional, monomial_values,
+                    proj_distance)
+from .locus import (InflectionPoint, InflectionSet, flex_system,
+                    free_coords, inflection_points)
 from .perms import Perm, PermGroup
 from .roots import UniPoly, all_roots
 from .strata import pencil_discriminant_fit
@@ -218,81 +220,45 @@ class _Tracker:
         self.cfg = cfg
         self.Z = np.array(Z, dtype=complex)              # (9, 3), pinned
         self.chart = np.argmax(np.abs(self.Z), axis=1)
+        self.free = free_coords(self.chart)
         rows = np.arange(len(self.Z))
         self.Z = self.Z / self.Z[rows, self.chart][:, None]
         self.steps = 0
         self.max_residual = 0.0
         self.min_separation = np.inf
 
-    def _free_indices(self):
-        rows = np.arange(len(self.Z))
-        f1 = (self.chart + 1) % 3
-        f2 = (self.chart + 2) % 3
-        return rows, f1, f2
-
-    def _residual_scale(self, a, h):
-        zs = np.maximum(np.abs(self.Z).max(axis=1), 1.0) ** 3
-        return (np.abs(a).max() * zs, np.abs(h).max() * zs)
-
     def predict(self, a, adot, ds):
         h = hessian_coeffs(a)
         hdot = hessian_directional(a, adot)
-        rows, f1, f2 = self._free_indices()
-        mv2 = monomial_values(self.Z, EXP2)
-        gF = mv2 @ gradient_coeffs(a).T
-        gH = mv2 @ gradient_coeffs(h).T
-        Fdot = monomial_values(self.Z, EXP3) @ adot
-        Hdot = monomial_values(self.Z, EXP3) @ hdot
-        a11, a12 = gF[rows, f1], gF[rows, f2]
-        a21, a22 = gH[rows, f1], gH[rows, f2]
-        det = a11 * a22 - a12 * a21
-        Zp = self.Z.copy()
-        with np.errstate(invalid='ignore', divide='ignore'):
-            d1 = (Fdot * a22 - Hdot * a12) / det
-            d2 = (a11 * Hdot - a21 * Fdot) / det
-            Zp[rows, f1] -= ds * d1
-            Zp[rows, f2] -= ds * d2
-        return Zp
+        x, lift, system = flex_system(a, h, self.Z, self.free)
+        _, J = system(x)
+        rates = monomial_values(self.Z, EXP3) @ np.array([adot, hdot]).T
+        return lift(x - ds * newton.linear_solve(J, rates))
 
     def correct(self, a, Zp):
         """Newton iteration of all points on {F = 0, H = 0} at fixed
         coefficients; returns corrected coordinates or None."""
         h = hessian_coeffs(a)
-        rows, f1, f2 = self._free_indices()
-        ga = gradient_coeffs(a)
-        gh = gradient_coeffs(h)
-        Z = Zp.copy()
-        cfg = self.cfg
-        for _ in range(cfg.newton_max_iters):
-            mv3 = monomial_values(Z, EXP3)
-            F = mv3 @ a
-            H = mv3 @ h
-            zs = np.maximum(np.abs(Z).max(axis=1), 1.0) ** 3
-            okF = np.abs(F) <= cfg.newton_tol * np.abs(a).max() * zs
-            okH = np.abs(H) <= cfg.newton_tol * np.abs(h).max() * zs
-            if np.all(okF & okH):
-                break
-            mv2 = monomial_values(Z, EXP2)
-            gF = mv2 @ ga.T
-            gH = mv2 @ gh.T
-            a11, a12 = gF[rows, f1], gF[rows, f2]
-            a21, a22 = gH[rows, f1], gH[rows, f2]
-            det = a11 * a22 - a12 * a21
-            with np.errstate(invalid='ignore', divide='ignore'):
-                d1 = (F * a22 - H * a12) / det
-                d2 = (a11 * H - a21 * F) / det
-            move = ~(okF & okH)
-            Z[rows[move], f1[move]] -= d1[move]
-            Z[rows[move], f2[move]] -= d2[move]
-            if not np.all(np.isfinite(Z.view(float))):
-                return None, None
-        else:
+        x0, lift, system = flex_system(a, h, Zp, self.free)
+        coeff_scale = np.array([np.abs(a).max(), np.abs(h).max()])
+
+        def scaled(x):
+            # residuals relative to the coefficient size and |z|^3; the
+            # pinned coordinate is 1
+            zs = np.maximum(np.abs(x).max(axis=1), 1.0) ** 3
+            s = coeff_scale * zs[:, None]
+            r, J = system(x)
+            return r / s, J / s[:, :, None]
+
+        x, converged = newton.solve(scaled, x0, self.cfg.newton_max_iters,
+                                    tol=self.cfg.newton_tol)
+        if not converged.all():
             return None, None
-        mv3 = monomial_values(Z, EXP3)
-        zs = np.maximum(np.abs(Z).max(axis=1), 1.0) ** 3
-        res = max(np.abs(mv3 @ a / (np.abs(a).max() * zs)).max(),
-                  np.abs(mv3 @ h / (np.abs(h).max() * zs)).max())
-        return Z, float(res)
+        # a row stopped by a vanishing step still has to meet the tolerance
+        res = np.abs(scaled(x)[0]).max()
+        if res > self.cfg.newton_tol:
+            return None, None
+        return lift(x), float(res)
 
     def accept(self, Z, res):
         self.Z = Z
@@ -303,6 +269,7 @@ class _Tracker:
         if np.any(big):
             idx = np.nonzero(big)[0]
             self.chart[idx] = np.argmax(np.abs(self.Z[idx]), axis=1)
+            self.free = free_coords(self.chart)
             self.Z[idx] = self.Z[idx] / self.Z[idx, self.chart[idx]][:, None]
 
     def run_segment(self, seg):

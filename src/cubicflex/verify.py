@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -32,19 +32,11 @@ from .track import (Loop, TrackingConfig, bypass_loop, circle_loop,
 DEFAULT_CONFIG = {
     "seed": 0,
     "delta": 0.05,
-    "tol": 1e-8,
-    "bypass_radius": 0.02,
     "global_lines": 2,
     "local_probes": 3,
     "pencil_samples": 20,
     "net_starts": 2000,
-    "tracking": {
-        "initial_step": 1e-2,
-        "min_step": 1e-7,
-        "newton_tol": 1e-11,
-        "newton_max_iters": 12,
-        "proximity_guard": 1e-4,
-    },
+    "tracking": asdict(TrackingConfig()),
 }
 
 SUITES = ("group", "local", "global", "strata", "counts", "invariants")

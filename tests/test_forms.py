@@ -104,6 +104,10 @@ def test_second_partials_matrix_consistent_with_hessian_det():
     M = second_partials_matrix(f.coeffs, p)
     assert np.allclose(np.linalg.det(M), eval_coeffs(hessian_coeffs(f.coeffs), p))
     assert np.allclose(M, M.T)
+    # a batch of points gives the stack of the single-point matrices
+    P = np.array([p, 2 * p, rng.standard_normal(3)])
+    assert np.allclose(second_partials_matrix(f.coeffs, P),
+                       [second_partials_matrix(f.coeffs, q) for q in P])
 
 
 def test_transform_is_substitution():
@@ -184,3 +188,7 @@ def test_proj_distance_scale_invariance():
     assert np.isclose(proj_distance(p, q),
                       proj_distance((2 - 3j) * p, 0.01j * q))
     assert proj_distance(p, (1 + 1j) * p) < 1e-12
+    # rows of a 2-D second argument each get their distance
+    Q = np.array([q, (1 + 1j) * p, p + q])
+    assert np.array_equal(proj_distance(p, Q),
+                          [proj_distance(p, r) for r in Q])

@@ -23,7 +23,10 @@ from cubicflex import (Certificate, CrossingError, CubicForm, Net,
                        cusp_family, discriminant_value, fermat_cubic,
                        hesse_pencil, inflection_points, net_cusp_members,
                        node_family, pencil_crossings, pencil_discriminant_fit,
-                       triangle_cubic)
+                       proj_distance, triangle_cubic)
+from cubicflex.forms import greedy_distinct
+from cubicflex.strata import (CROSSING_SEED, _crossing_newton,
+                              _crossing_starts)
 
 M = CubicForm.from_monomials
 
@@ -176,6 +179,71 @@ class TestPencilCrossings:
         pc = pencil_crossings(Pencil(fermat_cubic(), rand_cubic(rng)))
         infl = inflection_points(pc.crossings[0].member)
         assert infl.multiplicity_signature() == (6, 1, 1, 1)
+
+    @pytest.mark.parametrize("seed,expected", [
+        # two crossings 0.05 apart in u; each needs its own witness
+        (4, [1.697887 - 2.189487j, 1.70229 - 2.239555j]),
+        # two crossings closer than the fit's cluster radius
+        (5, [-0.318090 + 0.417710j, -0.317685 + 0.415418j]),
+    ])
+    def test_close_crossings_each_reported(self, seed, expected):
+        pc = pencil_crossings(fourth_pencil(seed))
+        us = np.array([c.parameter[1] / c.parameter[0]
+                       for c in pc.crossings])
+        assert len(pc.crossings) == 12
+        assert all(c.multiplicity == 1 for c in pc.crossings)
+        assert all(c.label is StratumLabel.B1 for c in pc.crossings)
+        assert min(abs(a - b) for k, a in enumerate(us)
+                   for b in us[k + 1:]) > 1e-4
+        for u in expected:
+            assert np.abs(us - u).min() < 1e-5
+
+
+def fourth_pencil(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        f0, f1 = rand_cubic(rng), rand_cubic(rng)
+    return Pencil(f0, f1)
+
+
+def reference_distinct(points, radius, distance):
+    """The greedy deduplication loop as it was written out by hand."""
+    kept = []
+    for i, p in enumerate(points):
+        if all(distance(p, points[j]) > radius for j in kept):
+            kept.append(i)
+    return kept
+
+
+class TestDeduplication:
+    @pytest.mark.parametrize("pencil", [hesse_pencil(), fourth_pencil(4),
+                                        fourth_pencil(5)],
+                             ids=["hesse", "seed4", "seed5"])
+    def test_crossing_hits_keep_reference_survivors(self, pencil):
+        starts = _crossing_starts(200, CROSSING_SEED)
+        hits = []
+        for pchart in (0, 1):
+            for zchart in range(3):
+                _, u = _crossing_newton(pencil, pchart, zchart, starts)
+                hits += [[1.0, ui] if pchart == 0 else [ui, 1.0] for ui in u]
+        hits = np.array(hits, dtype=complex)
+        kept = greedy_distinct(hits, 1e-6)
+        assert kept == reference_distinct(hits, 1e-6, proj_distance)
+        assert len(hits) > 3 * len(kept)
+
+    def test_max_norm_keeps_reference_survivors(self):
+        rng = np.random.default_rng(1)
+        centres = (rng.standard_normal((5, 2))
+                   + 1j * rng.standard_normal((5, 2)))
+        jitter = 1e-7 * rng.standard_normal((200, 2))
+        pts = centres[rng.integers(0, 5, 200)] + jitter
+
+        def max_norm(p, q):
+            return np.abs(np.asarray(q) - p).max(axis=-1)
+
+        kept = greedy_distinct(pts, 1e-6, max_norm)
+        assert kept == reference_distinct(pts, 1e-6, max_norm)
+        assert len(kept) == 5
 
 
 @pytest.fixture(scope="module")
