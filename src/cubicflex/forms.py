@@ -2,9 +2,11 @@
 
 A cubic form is stored as a vector of 10 complex coefficients over the
 monomial basis z1^i z2^j z3^(3-i-j), with the exponent pairs (i, j) in
-lexicographic order.  All polynomial constructions here (Hessian
-determinant, linear substitution) are carried out by exact convolution of
-coefficients, so integer inputs produce integer outputs.
+lexicographic order.  Both polynomial constructions here are integer
+tables applied to the coefficients, so integer inputs produce integer
+outputs exactly.  The Hessian determinant is a sparse sum of 102 weighted
+triple products of coefficients, and the linear substitution f(M z) is one
+tensor contraction of the coefficients with three copies of M.
 """
 
 from __future__ import annotations
@@ -62,6 +64,20 @@ def _build_third_partials():
 THIRD = _build_third_partials()
 
 
+def _build_triple_products():
+    """TRIP[p, q, r, m] = 1 where z_p z_q z_r is cubic basis monomial m."""
+    trip = np.zeros((3, 3, 3, 10))
+    for p, q, r in product(range(3), repeat=3):
+        e = np.bincount([p, q, r], minlength=3)
+        trip[p, q, r, MONOMIAL_INDEX[(e[0], e[1])]] = 1.0
+    return trip
+
+TRIP = _build_triple_products()
+
+# WORD[n]: the variables of monomial n as a sorted word, z1^2 z3 -> (0, 0, 2)
+WORD = np.array([[0] * i + [1] * j + [2] * (3 - i - j) for i, j in MONOMIALS])
+
+
 def _build_hessian_tensor():
     """T[m,a,b,c] with hessian(f) = sum_{a,b,c} T[:,a,b,c] f_a f_b f_c.
 
@@ -71,16 +87,6 @@ def _build_hessian_tensor():
     """
     # S[m, u, v, w]: coefficient of z_w in d^2(monomial m)/dz_u dz_v
     S = THIRD.transpose(3, 0, 1, 2)
-    # TRIPROD[p,q,r,m]: z_p z_q z_r expressed in the cubic basis
-    trip = np.zeros((3, 3, 3, 10))
-    for p in range(3):
-        for q in range(3):
-            for r in range(3):
-                e = [0, 0, 0]
-                e[p] += 1
-                e[q] += 1
-                e[r] += 1
-                trip[p, q, r, MONOMIAL_INDEX[(e[0], e[1])]] = 1.0
     T = np.zeros((10, 10, 10, 10))
     for sigma in permutations(range(3)):
         sgn = 1.0
@@ -92,10 +98,19 @@ def _build_hessian_tensor():
                              S[:, 0, sigma[0], :],
                              S[:, 1, sigma[1], :],
                              S[:, 2, sigma[2], :],
-                             trip)
+                             TRIP)
     return T
 
 HESSIAN_TENSOR = _build_hessian_tensor()
+
+# The 102 nonzero entries of HESSIAN_TENSOR as a sparse sum: column t of
+# HESSIAN_TERMS is (m, a, b, c), and term t adds T[m,a,b,c] f_a f_b f_c to
+# output slot m.  The scatter matrix (10, 102) carries each weight T[m,a,b,c]
+# to its slot.
+HESSIAN_TERMS = np.array(np.nonzero(HESSIAN_TENSOR))
+_HESSIAN_SCATTER = np.zeros((10, HESSIAN_TERMS.shape[1]), dtype=complex)
+_HESSIAN_SCATTER[HESSIAN_TERMS[0], np.arange(HESSIAN_TERMS.shape[1])] = \
+    HESSIAN_TENSOR[tuple(HESSIAN_TERMS)]
 
 
 def monomial_values(points, exps):
@@ -135,16 +150,18 @@ def eval_gradient(coeffs, points):
 def hessian_coeffs(coeffs):
     """Coefficient vector of det of the matrix of second partials."""
     a = np.asarray(coeffs, dtype=complex)
-    return np.einsum('mabc,a,b,c->m', HESSIAN_TENSOR, a, a, a)
+    _, i, j, k = HESSIAN_TERMS
+    return _HESSIAN_SCATTER @ (a[i] * a[j] * a[k])
 
 
 def hessian_directional(coeffs, direction):
     """Directional derivative of hessian_coeffs along a coefficient path."""
     a = np.asarray(coeffs, dtype=complex)
     b = np.asarray(direction, dtype=complex)
-    return (np.einsum('mabc,a,b,c->m', HESSIAN_TENSOR, b, a, a)
-            + np.einsum('mabc,a,b,c->m', HESSIAN_TENSOR, a, b, a)
-            + np.einsum('mabc,a,b,c->m', HESSIAN_TENSOR, a, a, b))
+    _, i, j, k = HESSIAN_TERMS
+    ai, aj, ak = a[i], a[j], a[k]
+    return _HESSIAN_SCATTER @ (b[i] * aj * ak + ai * b[j] * ak
+                               + ai * aj * b[k])
 
 
 def third_partials(coeffs):
@@ -163,45 +180,14 @@ def second_partials_matrix(coeffs, point):
     return M.reshape(P.shape[:-1] + (3, 3))
 
 
-# ---------------------------------------------------------------------------
-# dict-based exact trivariate polynomials, used for linear substitution
-
-def _poly_mul(p, q):
-    out = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-            out[e] = out.get(e, 0.0 + 0.0j) + c1 * c2
-    return out
-
-
-def _poly_pow(p, n):
-    out = {(0, 0, 0): 1.0 + 0.0j}
-    for _ in range(n):
-        out = _poly_mul(out, p)
-    return out
-
-
 def substitute_linear(coeffs, M):
-    """Coefficients of f(M z) for a 3x3 matrix M, by exact expansion."""
-    M = np.asarray(M, dtype=complex)
-    rows = [{(1, 0, 0): M[r, 0], (0, 1, 0): M[r, 1], (0, 0, 1): M[r, 2]}
-            for r in range(3)]
-    rows = [{e: c for e, c in row.items() if c != 0} for row in rows]
-    acc = {}
+    """Coefficients of f(M z) for a 3x3 matrix M.  Monomial n is the
+    product of the variables in WORD[n]; each becomes a row of M z, and
+    TRIP collects the expanded triple products in the cubic basis."""
     a = np.asarray(coeffs, dtype=complex)
-    for n, (i, j) in enumerate(MONOMIALS):
-        if a[n] == 0:
-            continue
-        k = 3 - i - j
-        term = _poly_mul(_poly_mul(_poly_pow(rows[0], i), _poly_pow(rows[1], j)),
-                         _poly_pow(rows[2], k))
-        for e, c in term.items():
-            acc[e] = acc.get(e, 0.0 + 0.0j) + a[n] * c
-    out = np.zeros(10, dtype=complex)
-    for (i, j, k), c in acc.items():
-        out[MONOMIAL_INDEX[(i, j)]] = c
-    return out
+    M = np.asarray(M, dtype=complex)
+    return np.einsum('n,nu,nv,nw,uvwm->m', a, M[WORD[:, 0]], M[WORD[:, 1]],
+                     M[WORD[:, 2]], TRIP)
 
 
 # ---------------------------------------------------------------------------

@@ -227,18 +227,18 @@ class _Tracker:
         self.max_residual = 0.0
         self.min_separation = np.inf
 
-    def predict(self, a, adot, ds):
-        h = hessian_coeffs(a)
+    def predict(self, a, h, adot, ds):
+        """Euler step of length ds from coefficients a, with Hessian h."""
         hdot = hessian_directional(a, adot)
         x, lift, system = flex_system(a, h, self.Z, self.free)
         _, J = system(x)
         rates = monomial_values(self.Z, EXP3) @ np.array([adot, hdot]).T
         return lift(x - ds * newton.linear_solve(J, rates))
 
-    def correct(self, a, Zp):
+    def correct(self, a, h, Zp):
         """Newton iteration of all points on {F = 0, H = 0} at fixed
-        coefficients; returns corrected coordinates or None."""
-        h = hessian_coeffs(a)
+        coefficients a with Hessian h; returns corrected coordinates or
+        None."""
         x0, lift, system = flex_system(a, h, Zp, self.free)
         coeff_scale = np.array([np.abs(a).max(), np.abs(h).max()])
 
@@ -275,15 +275,17 @@ class _Tracker:
     def run_segment(self, seg):
         cfg = self.cfg
         s = 0.0
+        a = seg.value(s)
+        h = hessian_coeffs(a)
         cap = min(cfg.initial_step, seg.step_cap())
         ds = cap
         streak = 0
         while s < 1.0 - 1e-15:
             step = min(ds, 1.0 - s)
-            a_now = seg.value(s)
-            Zp = self.predict(a_now, seg.velocity(s), step)
+            Zp = self.predict(a, h, seg.velocity(s), step)
             a_next = seg.value(s + step)
-            Z, res = self.correct(a_next, Zp)
+            h_next = hessian_coeffs(a_next)
+            Z, res = self.correct(a_next, h_next, Zp)
             sep = _pairwise_min_distance(Z) if Z is not None else 0.0
             if Z is None or sep <= cfg.proximity_guard:
                 ds = step / 2.0
@@ -294,6 +296,8 @@ class _Tracker:
                         f"segment parameter {s:.6f}")
                 continue
             s += step
+            # the corrector's end point starts the next step
+            a, h = a_next, h_next
             self.accept(Z, res)
             self.min_separation = min(self.min_separation, sep)
             streak += 1

@@ -8,7 +8,8 @@ import pytest
 from cubicflex import (CubicForm, ProjPoint, Pencil, Net, SchemaError,
                        DegenerateInputError, proj_distance,
                        fermat_cubic, triangle_cubic, node_family, cusp_family)
-from cubicflex.forms import (MONOMIALS, hessian_coeffs, hessian_directional,
+from cubicflex.forms import (HESSIAN_TENSOR, HESSIAN_TERMS, MONOMIAL_INDEX,
+                             MONOMIALS, hessian_coeffs, hessian_directional,
                              eval_coeffs, eval_gradient, substitute_linear,
                              second_partials_matrix)
 
@@ -30,6 +31,107 @@ def sympy_hessian(coeffs):
     for n, (i, j) in enumerate(MONOMIALS):
         out[n] = complex(H.coeff(z1, i).coeff(z2, j).coeff(z3, 3 - i - j))
     return out
+
+
+def dense_hessian(a):
+    """Reference: the full contraction of the 10^4-entry tensor."""
+    return np.einsum('mabc,a,b,c->m', HESSIAN_TENSOR, a, a, a)
+
+
+def dense_hessian_directional(a, b):
+    return (np.einsum('mabc,a,b,c->m', HESSIAN_TENSOR, b, a, a)
+            + np.einsum('mabc,a,b,c->m', HESSIAN_TENSOR, a, b, a)
+            + np.einsum('mabc,a,b,c->m', HESSIAN_TENSOR, a, a, b))
+
+
+def _poly_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
+            out[e] = out.get(e, 0.0 + 0.0j) + c1 * c2
+    return out
+
+
+def _poly_pow(p, n):
+    out = {(0, 0, 0): 1.0 + 0.0j}
+    for _ in range(n):
+        out = _poly_mul(out, p)
+    return out
+
+
+def dict_substitute_linear(coeffs, M):
+    """Reference: f(M z) by expanding each monomial as a dict polynomial."""
+    M = np.asarray(M, dtype=complex)
+    rows = [{(1, 0, 0): M[r, 0], (0, 1, 0): M[r, 1], (0, 0, 1): M[r, 2]}
+            for r in range(3)]
+    rows = [{e: c for e, c in row.items() if c != 0} for row in rows]
+    acc = {}
+    a = np.asarray(coeffs, dtype=complex)
+    for n, (i, j) in enumerate(MONOMIALS):
+        if a[n] == 0:
+            continue
+        k = 3 - i - j
+        term = _poly_mul(_poly_mul(_poly_pow(rows[0], i),
+                                   _poly_pow(rows[1], j)),
+                         _poly_pow(rows[2], k))
+        for e, c in term.items():
+            acc[e] = acc.get(e, 0.0 + 0.0j) + a[n] * c
+    out = np.zeros(10, dtype=complex)
+    for (i, j, k), c in acc.items():
+        out[MONOMIAL_INDEX[(i, j)]] = c
+    return out
+
+
+def rand_integer_vector(rng, shape):
+    """Gaussian integers with small parts, as complex floats."""
+    return (rng.integers(-9, 10, shape)
+            + 1j * rng.integers(-9, 10, shape)).astype(complex)
+
+
+def rel_err(x, ref):
+    return np.abs(x - ref).max() / np.abs(ref).max()
+
+
+def test_sparse_hessian_table_has_102_terms():
+    # a rebuilt tensor that went dense or lost terms would change this
+    assert HESSIAN_TERMS.shape == (4, 102)
+    assert np.count_nonzero(HESSIAN_TENSOR) == 102
+    assert np.all(HESSIAN_TENSOR[tuple(HESSIAN_TERMS)] != 0)
+
+
+def test_sparse_hessian_matches_dense_contraction():
+    rng = np.random.default_rng(16)
+    for _ in range(50):
+        a = rand_integer_vector(rng, 10)
+        b = rand_integer_vector(rng, 10)
+        assert np.array_equal(hessian_coeffs(a), dense_hessian(a))
+        assert np.array_equal(hessian_coeffs(a.real), dense_hessian(a.real))
+        assert np.array_equal(hessian_directional(a, b),
+                              dense_hessian_directional(a, b))
+    for _ in range(50):
+        a = rand_form(rng).coeffs
+        b = rand_form(rng).coeffs
+        assert rel_err(hessian_coeffs(a), dense_hessian(a)) <= 1e-13
+        assert rel_err(hessian_directional(a, b),
+                       dense_hessian_directional(a, b)) <= 1e-13
+
+
+def test_substitute_linear_matches_dict_expansion():
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        a = rand_integer_vector(rng, 10)
+        M = rand_integer_vector(rng, (3, 3))
+        M[rng.integers(3), rng.integers(3)] = 0
+        assert np.array_equal(substitute_linear(a, M),
+                              dict_substitute_linear(a, M))
+        assert np.array_equal(substitute_linear(a.real, M.real),
+                              dict_substitute_linear(a.real, M.real))
+    for _ in range(50):
+        a = rand_form(rng).coeffs
+        M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        assert rel_err(substitute_linear(a, M),
+                       dict_substitute_linear(a, M)) <= 1e-13
 
 
 def test_fermat_hessian_is_triangle():

@@ -39,6 +39,7 @@ from cubicflex.forms import (MONOMIALS, CubicForm, cusp_family, fermat_cubic,
 from cubicflex.locus import hesse_base_points, inflection_points, label_against
 from cubicflex.perms import (G1, G2, G3, G4, Perm, PermGroup,
                              conjugate_in_s9, hesse_group, local_cusp_group)
+from cubicflex import track
 from cubicflex.track import (Arc, Line, Loop, MonodromyResult, TrackingConfig,
                              bypass_loop, circle_loop, generate_global_monodromy,
                              line_bypass_permutations, local_monodromy,
@@ -189,6 +190,30 @@ class TestCoordinateLoops:
         G = PermGroup(perms)
         assert G.order == 9
         assert G.orbits() == [(1, 4, 7), (2, 5, 8), (3, 6, 9)]
+
+    def test_one_hessian_per_attempted_step(self, coordinate_loops,
+                                            q_labels, monkeypatch):
+        counts = {"hessian": 0, "attempts": 0}
+        hessian, correct = track.hessian_coeffs, track._Tracker.correct
+
+        def counted_hessian(a):
+            counts["hessian"] += 1
+            return hessian(a)
+
+        def counted_correct(tracker, *args):
+            counts["attempts"] += 1
+            return correct(tracker, *args)
+
+        monkeypatch.setattr(track, "hessian_coeffs", counted_hessian)
+        monkeypatch.setattr(track._Tracker, "correct", counted_correct)
+        loop = coordinate_loops[0]
+        res = track_loop(loop, labels=q_labels)
+        # one per attempted step and one per segment start, plus the one
+        # that checks the labels at the basepoint
+        assert counts["hessian"] <= (counts["attempts"] + len(loop.segments)
+                                     + 1)
+        assert res.perm == G2
+        assert res.steps_taken == 100
 
     def test_cusp_circle_cycle_type(self):
         loop = circle_loop(cusp_family(0.0), unit_coeff(0, 0), DELTA)
