@@ -554,37 +554,47 @@ def label_against(infl, reference, matching_radius=None):
     else:
         ref_pairs = [(i + 1, p) for i, p in enumerate(reference)]
     pts = list(infl.points)
-    if len(pts) != len(ref_pairs):
-        raise MatchingError(
-            f"cardinality mismatch: {len(pts)} points vs "
-            f"{len(ref_pairs)} references")
-    ref_coords = np.array([p.coords for _, p in ref_pairs])
-    if matching_radius is None:
-        dmin = min(proj_distance(ref_coords[a], ref_coords[b])
-                   for a in range(len(ref_coords))
-                   for b in range(a + 1, len(ref_coords)))
-        matching_radius = 0.5 * dmin
-    taken = set()
-    labelled = []
-    for ip in pts:
-        d = np.array([proj_distance(ip.point.coords, rc)
-                      for rc in ref_coords])
-        order = np.argsort(d)
-        best = order[0]
-        second = order[1] if len(order) > 1 else None
-        if d[best] > matching_radius:
-            raise MatchingError(
-                f"point {ip.point} is {d[best]:.3g} from the nearest "
-                f"reference, beyond the matching radius "
-                f"{matching_radius:.3g}")
-        if second is not None and d[second] < 2.0 * d[best]:
-            raise MatchingError(
-                f"ambiguous matching for {ip.point}: two references within "
-                "a factor of two")
-        lbl = ref_pairs[best][0]
-        if lbl in taken:
-            raise MatchingError(f"two points matched reference {lbl}")
-        taken.add(lbl)
-        labelled.append(InflectionPoint(ip.point, ip.multiplicity, lbl))
+    found = nearest_labels([ip.point.coords for ip in pts],
+                           [p.coords for _, p in ref_pairs],
+                           [lbl for lbl, _ in ref_pairs], matching_radius)
+    labelled = [InflectionPoint(ip.point, ip.multiplicity, lbl)
+                for ip, lbl in zip(pts, found)]
     labelled.sort(key=lambda ip: ip.label)
     return InflectionSet(tuple(labelled))
+
+
+def nearest_labels(points, references, labels, radius=None):
+    """The label of the nearest reference for each row of points, in row
+    order.
+
+    Each match must lie within radius (by default half the smallest
+    distance between references) and be unambiguous (the next-nearest
+    reference at least twice as far), and the matching must be a
+    bijection.  Raises MatchingError otherwise.
+    """
+    points = np.asarray(points, dtype=complex)
+    references = np.asarray(references, dtype=complex)
+    if len(points) != len(references):
+        raise MatchingError(
+            f"cardinality mismatch: {len(points)} points vs "
+            f"{len(references)} references")
+    if radius is None:
+        radius = 0.5 * min(proj_distance(r, references[k + 1:]).min()
+                           for k, r in enumerate(references[:-1]))
+    found = []
+    for k, z in enumerate(points):
+        d = proj_distance(z, references)
+        order = np.argsort(d)
+        best = order[0]
+        if d[best] > radius:
+            raise MatchingError(
+                f"point {k} is {d[best]:.3g} from the nearest reference, "
+                f"beyond the matching radius {radius:.3g}")
+        if len(d) > 1 and d[order[1]] < 2.0 * d[best]:
+            raise MatchingError(
+                f"ambiguous matching for point {k}: two references within "
+                "a factor of two")
+        if labels[best] in found:
+            raise MatchingError(f"two points matched reference {labels[best]}")
+        found.append(labels[best])
+    return found

@@ -6,17 +6,17 @@ homomorphism sends a concatenation of loops to the product of their
 permutations in traversal order.
 
 Groups are handled by brute force (breadth-first closure, orbit scans,
-exhaustive conjugacy search); every group that appears here has order at
-most 216, so nothing cleverer is warranted.
+element-wise stabilizers); every group that appears here has order at
+most 216, so nothing cleverer is warranted.  Conjugacy in S9 is the one
+exception: it is a backtracking search over the images of the
+conjugator.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations as _itertools_permutations
-
-import numpy as np
 
 from .errors import SchemaError
 
@@ -254,59 +254,52 @@ def coset_action(group, subgroup, representatives, labels):
     return actions
 
 
-def _encode(images_array):
-    """Mixed-radix integer encoding of permutation rows (vectorized)."""
-    code = np.zeros(images_array.shape[0], dtype=np.int64)
-    for col in range(N_LETTERS):
-        code = code * 16 + images_array[:, col]
-    return code
-
-
 def conjugate_in_s9(G, H):
     """A permutation s with s^-1 G s = H, or None.
 
-    Exhaustive scan of all 9! candidates, vectorized; candidates are
-    pruned generator by generator before the full subgroup check.  The
-    cycle-type multiset of the two groups is compared first.
+    The orders and the cycle-type census of the two groups are compared
+    first.  Then s(1), s(2), ..., s(9) are assigned in turn, each trying
+    the unused images in increasing order, so the s returned is the
+    lexicographically first conjugator.  For each generator g of G the
+    search keeps the elements h of H consistent with the partial map,
+    h(s(y)) = s(g(y)) for every assigned y whose g(y) is also assigned,
+    and steps back as soon as some generator has none left.  A complete
+    s puts s^-1 g s in H for every generator, and |G| = |H| makes that
+    s^-1 G s = H.
     """
     if G.order != H.order:
         return None
-    type_count_G = {}
-    for p in G.elements:
-        t = p.cycle_type()
-        type_count_G[t] = type_count_G.get(t, 0) + 1
-    type_count_H = {}
-    for p in H.elements:
-        t = p.cycle_type()
-        type_count_H[t] = type_count_H.get(t, 0) + 1
-    if type_count_G != type_count_H:
+    if Counter(p.cycle_type() for p in G.elements) \
+            != Counter(p.cycle_type() for p in H.elements):
         return None
+    gens = [g.images for g in G.generators]
+    s = []                                  # s[y - 1] is the image of y
 
-    all_perms = np.array(list(_itertools_permutations(range(1, N_LETTERS + 1))),
-                         dtype=np.int8)                      # (362880, 9)
-    inv = np.argsort(all_perms, axis=1).astype(np.int8) + 1  # s^-1 images
-    H_codes = _encode(np.array([p.images for p in H.elements], dtype=np.int64))
-    H_codes = np.sort(H_codes)
+    def extend(candidates):
+        y = len(s) + 1
+        if y > N_LETTERS:
+            return True
+        for x in range(1, N_LETTERS + 1):
+            if x in s:
+                continue
+            s.append(x)
+            narrowed = []
+            for g, hs in zip(gens, candidates):
+                # the pairs (u, g(u)) that assigning y completes
+                pairs = [(s[u - 1], s[g[u - 1] - 1]) for u in range(1, y + 1)
+                         if max(u, g[u - 1]) == y]
+                hs = [h for h in hs if all(h[a - 1] == b for a, b in pairs)]
+                if not hs:
+                    break
+                narrowed.append(hs)
+            else:
+                if extend(narrowed):
+                    return True
+            s.pop()
+        return False
 
-    mask = np.ones(len(all_perms), dtype=bool)
-    for g in G.generators:
-        g_img = np.array(g.images, dtype=np.int64)
-        rows = np.nonzero(mask)[0]
-        if len(rows) == 0:
-            return None
-        s = all_perms[rows].astype(np.int64)
-        s_inv = inv[rows].astype(np.int64)
-        # (s^-1 g s)(x) = s(g(s^-1(x))) with left-to-right composition
-        conj = np.take_along_axis(s, g_img[s_inv - 1] - 1, axis=1)
-        codes = _encode(conj)
-        ok = np.searchsorted(H_codes, codes)
-        ok = (ok < len(H_codes)) & (H_codes[np.clip(ok, 0, len(H_codes) - 1)]
-                                    == codes)
-        mask[rows] = ok
-    for row in np.nonzero(mask)[0]:
-        s = Perm(all_perms[row])
-        if all(g.conjugate_by(s) in H for g in G.generators):
-            return s
+    if extend([[h.images for h in H.elements]] * len(gens)):
+        return Perm(s)
     return None
 
 

@@ -22,14 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import factorial
 from typing import NamedTuple
 
 import numpy as np
 
 from . import newton
 from .errors import CrossingError, NumericalError
-from .forms import (EXP2, MONOMIAL_INDEX, MONOMIALS, CubicForm, ProjPoint,
+from .forms import (EXP2, MONOMIAL_INDEX, CubicForm, ProjPoint,
                     chart_points, eval_coeffs, eval_gradient,
                     gradient_coeffs, greedy_distinct, proj_distance,
                     second_partials_matrix, substitute_linear,
@@ -161,14 +160,11 @@ def _branch_tangents(coeffs, node):
 
 
 def _is_perfect_cube(coeffs, line):
-    """Whether the cubic is proportional to the cube of the given line."""
-    ell = np.asarray(line, dtype=complex)
-    cube = np.zeros(10, dtype=complex)
-    # expand (l1 z1 + l2 z2 + l3 z3)^3 by trinomial coefficients
-    for n, (i, j) in enumerate(MONOMIALS):
-        k = 3 - i - j
-        coef = factorial(3) // (factorial(i) * factorial(j) * factorial(k))
-        cube[n] = coef * ell[0] ** i * ell[1] ** j * ell[2] ** k
+    """Whether the cubic is proportional to the cube of the given line:
+    z1^3 under the substitution z1 -> line . z."""
+    M = np.zeros((3, 3), dtype=complex)
+    M[0] = line
+    cube = substitute_linear(np.eye(10)[MONOMIAL_INDEX[(3, 0)]], M)
     return proj_distance(np.asarray(coeffs, dtype=complex), cube) < 1e-8
 
 

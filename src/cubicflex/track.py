@@ -16,14 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (CrossingError, DegenerateInputError, MatchingError,
-                     NumericalError, SchemaError, TrackingError)
+from .errors import (CrossingError, DegenerateInputError, NumericalError,
+                     SchemaError, TrackingError)
 from . import newton
 from .forms import (EXP3, CubicForm, Pencil, ProjPoint, eval_coeffs,
                     hessian_coeffs, hessian_directional, monomial_values,
                     proj_distance)
 from .locus import (InflectionPoint, InflectionSet, flex_system,
-                    free_coords, inflection_points)
+                    free_coords, inflection_points, nearest_labels)
 from .perms import Perm, PermGroup
 from .roots import UniPoly, all_roots
 from .strata import pencil_discriminant_fit
@@ -341,27 +341,6 @@ def _validate_basepoint(loop, labels):
     return labels
 
 
-def _match_to_labels(Z, labels):
-    """Permutation images: row k (the sheet that started at the k-th
-    smallest label) ends at the label of its nearest reference point."""
-    refs = [(ip.label, ip.point.coords) for ip in labels.points]
-    ref_coords = [c for _, c in refs]
-    n = len(refs)
-    radius = 0.5 * min(proj_distance(ref_coords[i], ref_coords[j])
-                       for i in range(n) for j in range(i + 1, n))
-    images = []
-    for k in range(len(Z)):
-        d = sorted((proj_distance(Z[k], c), lab) for lab, c in refs)
-        if d[0][0] > radius or (len(d) > 1 and d[1][0] < 2 * d[0][0]):
-            raise MatchingError(
-                f"label matching failed: transported point {k} is "
-                f"{d[0][0]:.3e} from its nearest label")
-        images.append(d[0][1])
-    if sorted(images) != list(range(1, 10)):
-        raise MatchingError("label matching failed: images not a bijection")
-    return Perm(images)
-
-
 def track_loop(loop, labels=None, cfg=None):
     """Carry the nine labeled inflection points around a closed loop and
     return the induced permutation with diagnostics."""
@@ -377,7 +356,10 @@ def track_loop(loop, labels=None, cfg=None):
     tracker.min_separation = start_sep
     for seg in loop.segments:
         tracker.run_segment(seg)
-    perm = _match_to_labels(tracker.Z, labels)
+    # row k of Z is the sheet that started at the k-th smallest label
+    perm = Perm(nearest_labels(tracker.Z,
+                               [ip.point.coords for ip in ordered],
+                               [ip.label for ip in ordered]))
     return MonodromyResult(perm=perm, steps_taken=tracker.steps,
                            min_pairwise_separation=tracker.min_separation,
                            max_residual=tracker.max_residual)

@@ -14,7 +14,7 @@ from cubicflex.forms import (CubicForm, ProjPoint, cusp_family, fermat_cubic,
                              triangle_cubic)
 from cubicflex.locus import (InflectionSet, hesse_base_points,
                              inflection_points, label_against,
-                             singular_points)
+                             nearest_labels, singular_points)
 
 W = np.exp(2j * np.pi / 3)
 
@@ -228,3 +228,17 @@ class TestLabelling:
         refs[1] = ProjPoint(refs[0].coords + 1e-9)
         with pytest.raises(MatchingError):
             label_against(fl, refs)
+
+    def test_nearest_labels_in_row_order(self):
+        refs = np.array(BASE_POINTS, dtype=complex)
+        rows = refs[::-1] * (1 + 1e-6)
+        assert nearest_labels(rows, refs, range(1, 10)) == list(range(9, 0, -1))
+
+    def test_two_rows_on_one_reference_rejected(self):
+        # rows 0 and 1 are both nearest reference 1, each unambiguously
+        # and well within the radius; only the bijection check fails
+        refs = np.array(BASE_POINTS, dtype=complex)
+        rows = refs.copy()
+        rows[1] = refs[0] + 1e-6
+        with pytest.raises(MatchingError, match="two points matched reference 1"):
+            nearest_labels(rows, refs, range(1, 10))
