@@ -351,12 +351,17 @@ def proj_distance(p, q):
 def greedy_distinct(points, radius, distance=proj_distance):
     """Indices of the points kept by the greedy rule: a point is kept when
     it lies farther than radius from every point kept before it.
-    distance(p, Q) gives the distances from p to each row of Q."""
+    distance(p, Q) gives the distances from p to each row of Q.
+
+    Each kept point removes every later point within radius in one call,
+    so the cost is one distance call per survivor."""
     points = np.asarray(points)
+    alive = np.ones(len(points), dtype=bool)
     kept = []
-    for i, p in enumerate(points):
-        if not kept or np.all(distance(p, points[kept]) > radius):
+    for i in range(len(points)):
+        if alive[i]:
             kept.append(i)
+            alive[i + 1:] &= distance(points[i], points[i + 1:]) > radius
     return kept
 
 

@@ -10,10 +10,13 @@ resultant roots whose projection line passes through that point; this
 stays exact even when floating-point noise smears a high-multiplicity
 resultant root into a loose cluster.
 
-Singular points come from a multistart Newton (the same core) on the
-gradient system with a deterministic start grid, followed by a local
-normal-form analysis (node / cusp / tacnode / ordinary triple point /
-singular line).
+Singular points of a cone (triple point or singular line) follow from
+its binary form.  Otherwise they are common zeros of the three partial
+conics: two fixed generic combinations of the conics meet in at most
+four points, found exactly by splitting a line pair of their pencil.
+A local normal-form analysis names each near-singular one (node / cusp /
+tacnode), and Gauss-Newton through the same core pins it on a system
+that is regular at its kind, deflated at a cusp or tacnode.
 """
 
 from __future__ import annotations
@@ -28,11 +31,9 @@ from . import newton
 from .forms import (EXP2, EXP3, MONOMIAL_INDEX, CubicForm, ProjPoint,
                     chart_points, eval_coeffs, eval_gradient,
                     gradient_coeffs, greedy_distinct, monomial_values,
-                    proj_distance, second_partials_matrix, substitute_linear)
+                    proj_distance, second_partials_matrix, substitute_linear,
+                    third_partials)
 from .roots import CHARTS, all_roots, cubic_in_variable, resultant_on_chart
-
-SINGULAR_START_COUNT = 60
-SINGULAR_SEED = 20240917
 
 # fallback coordinate changes for inflection charts; integer matrices
 # keep integer inputs well scaled
@@ -96,26 +97,6 @@ class InflectionSet:
 # ---------------------------------------------------------------------------
 # singular points
 
-def _start_grid(count, seed):
-    rng = np.random.default_rng(seed)
-    return (rng.standard_normal((count, 2)) * 1.2
-            + 1j * rng.standard_normal((count, 2)) * 1.2)
-
-
-def _newton_gradient_chart(coeffs, chart, starts, iters=240):
-    """Newton for the two free gradient components on a pinned chart."""
-    free = [v for v in range(3) if v != chart]
-    rows, cols = np.ix_(free, free)
-
-    def system(x):
-        z = chart_points(x, free)
-        M = second_partials_matrix(coeffs, z)
-        # the gradient of a cubic is M z / 2 by Euler's relation
-        return 0.5 * (M[:, free] @ z[:, :, None])[:, :, 0], M[:, rows, cols]
-
-    return chart_points(newton.solve(system, starts, iters)[0], free)
-
-
 def _cone_analysis(coeffs):
     """SingularSet for a cone cubic (one with a vanishing directional
     derivative), or None when the cubic is not a cone.
@@ -165,42 +146,182 @@ def _cone_analysis(coeffs):
         "cone analysis could not resolve the binary root pattern")
 
 
-def singular_points(f, start_count=SINGULAR_START_COUNT, seed=SINGULAR_SEED):
+# two fixed generic pairs of weights (w1, w2) on the partial conics
+_CONIC_FRAMES = (np.random.default_rng(5).standard_normal((2, 2, 3, 2))
+                 @ [1, 1j])
+
+
+def _binary_quadratic_roots(a, b, c):
+    """Root directions (u, v) of a u^2 + b uv + c v^2, numerically stable
+    for any coefficient pattern with at least one large coefficient."""
+    scale = max(abs(a), abs(b), abs(c))
+    if abs(a) < 1e-13 * scale and abs(c) < 1e-13 * scale:
+        return [(1.0 + 0j, 0.0 + 0j), (0.0 + 0j, 1.0 + 0j)]    # ~ b uv
+    swap = abs(c) > abs(a)
+    if swap:
+        a, c = c, a
+    disc = np.sqrt(b * b - 4 * a * c)
+    q = -(b + disc) / 2 if abs(b + disc) >= abs(b - disc) else -(b - disc) / 2
+    if abs(q) < 1e-13 * scale:
+        roots = [-b / (2 * a)] * 2
+    else:
+        roots = [q / a, c / q]
+    dirs = [(r, 1.0 + 0j) for r in roots]
+    if swap:
+        dirs = [(v, u) for (u, v) in dirs]
+    return dirs
+
+
+def _conic_candidates(conics, w):
+    """The (at most four) common points (n, 3) of the conics
+    Q1 = w[0] . conics and Q2 = w[1] . conics, or None when their pencil
+    has no usable line pair.  The points lie on each line pair Q1 + t Q2,
+    and each of its lines meets Q1 in two of them (Richter-Gebert,
+    Perspectives on Projective Geometry, 2011).
+    """
+    Q1, Q2 = np.tensordot(w, conics, axes=1)
+    # det(Q1 + t Q2) is a cubic in t: one FFT of its values at the fourth
+    # roots of unity gives the coefficients, ascending
+    unit = 1j ** np.arange(4)
+    d = np.fft.fft(np.linalg.det(Q1 + unit[:, None, None] * Q2)) / 4
+    # Q1 or Q2 is itself a line pair when its weights sit at a singular
+    # point, and then the singular point is a multiple base point
+    if min(abs(d[0]), abs(d[3])) < 1e-8 * np.abs(d).max():
+        return None
+    # a root of multiplicity m comes back as a cluster of spread
+    # ~eps^(1/m) whose mean is accurate
+    t = np.roots(d[::-1])
+    near = np.abs(t[:, None] - t) < 1e-4 * (1 + np.abs(t[:, None]))
+    C = Q1 + ((near @ t) / near.sum(axis=1))[:, None, None] * Q2
+    # take the member most clearly of rank exactly 2
+    _, s, Vh = np.linalg.svd(C)
+    usable = np.flatnonzero((s[:, 2] <= 1e-8 * s[:, 0])
+                            & (s[:, 1] > 1e-6 * s[:, 0]))
+    if len(usable) == 0:
+        return None
+    k = max(usable, key=lambda i: s[i, 1] / s[i, 0])
+    E = np.conj(Vh[k])      # E[2] is the vertex, E[:2] span a complement
+    z = []
+    G = E[:2] @ C[k] @ E[:2].T
+    for u, v in _binary_quadratic_roots(G[0, 0], 2 * G[0, 1], G[1, 1]):
+        L = np.array([E[2], u * E[0] + v * E[1]])
+        R = L @ Q1 @ L.T
+        z += [a * L[0] + b * L[1] for a, b in
+              _binary_quadratic_roots(R[0, 0], 2 * R[0, 1], R[1, 1])]
+    z = np.array(z)
+    return z / z[np.arange(len(z)), np.argmax(np.abs(z), axis=1), None]
+
+
+def _cusp_jet(cs, a, b):
+    """A function of the rows x = (z_a, z_b, p_1, ...) for the member
+    cs[0] + sum_k p_k cs[k], the third coordinate pinned to 1.
+
+    It gives the residuals {f, f_a, f_b, det H2} (n, 4), their Jacobian
+    in x, and the full gradient; det H2 is the (a, b) minor of the second
+    partials, and its derivatives in z use the constant third partials.
+    """
+    thirds = np.stack([third_partials(c) for c in cs], axis=-1)
+
+    def jet(x):
+        z = chart_points(x, [a, b])
+        w = np.concatenate([np.ones((len(x), 1)), x[:, 2:]], axis=1)
+        Mk = np.stack([second_partials_matrix(c, z) for c in cs], axis=-1)
+        # by Euler's relation grad f = M z / 2 and f = z . grad f / 3
+        gk = 0.5 * np.einsum('nijk,nj->nik', Mk, z)
+        fk = np.einsum('nik,ni->nk', gk, z) / 3
+        g = np.einsum('nik,nk->ni', gk, w)
+        M = np.einsum('nijk,nk->nij', Mk, w)
+        T = np.einsum('ijlk,nk->nijl', thirds, w)
+
+        def ddet2(dM):
+            return (dM[:, a, a] * M[:, b, b] + M[:, a, a] * dM[:, b, b]
+                    - 2 * M[:, a, b] * dM[:, a, b])
+
+        det2 = M[:, a, a] * M[:, b, b] - M[:, a, b] ** 2
+        r = np.stack([(fk * w).sum(axis=1), g[:, a], g[:, b], det2], axis=1)
+        J = np.stack([
+            np.column_stack([g[:, a], g[:, b], fk[:, 1:]]),
+            np.column_stack([M[:, a, a], M[:, a, b], gk[:, a, 1:]]),
+            np.column_stack([M[:, b, a], M[:, b, b], gk[:, b, 1:]]),
+            np.column_stack([ddet2(T[..., a]), ddet2(T[..., b])]
+                            + [ddet2(Mk[..., k]) for k in range(1, len(cs))]),
+        ], axis=1)
+        return r, J, g
+
+    return jet
+
+
+def _pin(coeffs, p, kind, iters=8):
+    """The singular point near p, of the given kind, by Gauss-Newton on a
+    system that is regular there: {f_a, f_b} at a node.  At a cusp that
+    system is singular, and deflation adds det H2 (Leykin, Verschelde and
+    Zhao, TCS 2006); at a tacnode that is singular too, and a second
+    deflation adds its 2x2 minors H2[i] ^ grad det H2.  Returns p for any
+    other kind, or when the solve fails.
+    """
+    rows = {'node': 2, 'cusp': 3, 'tacnode': 5}.get(kind)
+    if rows is None:
+        return p
+    chart = int(np.argmax(np.abs(p)))
+    a, b = [v for v in range(3) if v != chart]
+    jet = _cusp_jet([coeffs], a, b)
+    t = third_partials(coeffs)[np.ix_([a, b], [a, b], [a, b])]
+    # the constant second derivatives of det H2 in (z_a, z_b)
+    hD = (np.outer(t[0, 0], t[1, 1]) + np.outer(t[1, 1], t[0, 0])
+          - 2 * np.outer(t[0, 1], t[0, 1]))
+
+    def system(x):
+        r, J, _ = jet(x)
+        H, dD = J[:, 1:3], J[:, 3]
+        m = H[:, :, 0] * dD[:, 1:] - H[:, :, 1] * dD[:, :1]
+        dm = (t[:, 0] * dD[:, 1, None, None] + H[:, :, :1] * hD[1]
+              - t[:, 1] * dD[:, 0, None, None] - H[:, :, 1:] * hD[0])
+        r = np.concatenate([r, m], axis=1)[:, 1:rows + 1]
+        J = np.concatenate([J, dm], axis=1)[:, 1:rows + 1]
+        JH = J.conj().swapaxes(1, 2)
+        # the normal equations make a square system for the shared core
+        return (JH @ r[:, :, None])[:, :, 0], JH @ J
+
+    z = p / p[chart]
+    x, _ = newton.solve(system, [[z[a], z[b]]], iters)
+    return chart_points(x, [a, b])[0] if np.isfinite(x).all() else p
+
+
+def singular_points(f):
     """All singular points of the cubic, with local type.
 
-    Multistart Newton on the gradient system over the three coordinate
-    charts with a deterministic start grid.  A one-dimensional singular
-    locus (a repeated line in the cubic) is detected by rank analysis of
-    the converged solutions and returned via the singular_line field.
+    A cone (triple point or singular line) is read off its binary form.
+    Otherwise the singular points are isolated common zeros of the three
+    partial conics.  The common points of two fixed generic combinations
+    of them are found exactly, each near-singular one is named by its
+    local normal form and pinned on a system regular at its kind, and
+    those where the whole gradient then vanishes are kept.
     """
     fn = f.normalize() if isinstance(f, CubicForm) else CubicForm(f).normalize()
     c = fn.coeffs
     cone = _cone_analysis(c)
     if cone is not None:
         return cone
-    starts = _start_grid(start_count, seed)
-    found = []
-    for chart in range(3):
-        z = _newton_gradient_chart(c, chart, starts)
-        res = np.abs(eval_gradient(c, z)).max(axis=1)
-        scale = np.abs(z).max(axis=1) ** 2
-        good = res < 1e-11 * np.maximum(scale, 1.0)
-        good &= np.abs(z).max(axis=1) < 1e6
-        for p, r in zip(z[good], res[good]):
-            found.append((float(r), ProjPoint(p)))
-    # the gradient vanishes to high order at degenerate singularities, so
-    # converged iterates form a blob around the true point; keeping the
-    # smallest-residual representative of each wide cluster pins it best
-    # (distinct singular points of a reduced cubic are far apart)
-    found.sort(key=lambda t: t[0])
-    distinct = [found[i][1] for i in
-                greedy_distinct([p.coords for _, p in found], 1e-3)]
-    if len(distinct) > 4:
+    for w in _CONIC_FRAMES:
+        z = _conic_candidates(third_partials(c), w)
+        if z is not None:
+            break
+    else:
         raise NumericalError(
-            f"{len(distinct)} isolated singular candidates exceed the "
-            "intersection bound for a reduced cubic")
-    pts = tuple(SingularPoint(p, _local_type(c, p)) for p in distinct)
-    return SingularSet(points=pts)
+            "no fixed pair of partial conics spans a pencil with a usable "
+            "line pair")
+    # the rows have largest coordinate 1.  A cusp or tacnode candidate can
+    # be off by ~1e-5, so a loose gate keeps the near-singular ones, best
+    # first; the strict gate comes after pinning
+    res = np.abs(eval_gradient(c, z)).max(axis=1)
+    z = z[np.argsort(res)][np.sort(res) < 1e-6]
+    pts = []
+    for p in z[greedy_distinct(z, 1e-3)]:
+        kind = _local_type(c, ProjPoint(p))
+        p = ProjPoint(_pin(c, p, kind))
+        if np.abs(eval_gradient(c, p.coords)).max() < 1e-11:
+            pts.append(SingularPoint(p, kind))
+    return SingularSet(points=tuple(pts))
 
 
 def local_expansion(coeffs, point, dir_u, dir_v):
@@ -229,8 +350,9 @@ def _local_type(coeffs, point):
     free = [v for v in range(3) if v != chart]
     du, dv = np.eye(3, dtype=complex)[free]
     E = local_expansion(coeffs, p, du, dv)
-    # the point itself is only known to ~1e-5 at the most degenerate
-    # type (tacnode), which contaminates the expansion coefficients
+    # the type is read before the point is pinned, when a cusp or tacnode
+    # can be off by ~1e-5; that error contaminates the expansion
+    # coefficients
     tol = 1e-4 * max(1.0, np.abs(E).max())
     quad = np.array([[2 * E[2, 0], E[1, 1]], [E[1, 1], 2 * E[0, 2]]])
     det2 = quad[0, 0] * quad[1, 1] - quad[0, 1] * quad[1, 0]
@@ -238,31 +360,23 @@ def _local_type(coeffs, point):
     # an honest node has |det2| comparable to qscale**2, while a rank-one
     # quadratic part contaminated by point error sits many orders lower,
     # so the rank cut can afford a generous margin
-    if qscale > tol and abs(det2) > 1e-5 * max(1.0, qscale) ** 2:
+    if qscale <= tol:
+        # a vanishing quadratic part makes a triple point, and a cubic
+        # with a triple point is a cone, which _cone_analysis takes
+        return 'degenerate'
+    if abs(det2) > 1e-5 * max(1.0, qscale) ** 2:
         return 'node'
-    if qscale > tol:
-        # rank one: rotate so the kernel of the quadratic part is the
-        # u-axis, then read off the lowest cubic terms
-        _, vecs = np.linalg.eigh(quad.conj().T @ quad)
-        kernel, normal = vecs[:, 0], vecs[:, 1]
-        du2 = kernel[0] * du + kernel[1] * dv
-        dv2 = normal[0] * du + normal[1] * dv
-        E2 = local_expansion(coeffs, p, du2, dv2)
-        if abs(E2[3, 0]) > tol:
-            return 'cusp'
-        if abs(E2[2, 1]) > tol:
-            return 'tacnode'
-        return 'degenerate'
-    # vanishing quadratic part: the tangent cone is the cubic part
-    cone = np.array([E[0, 3], E[1, 2], E[2, 1], E[3, 0]])  # ascending in u
-    try:
-        rs = all_roots(cone, cluster_radius=1e-4)
-    except NumericalError:
-        return 'degenerate'
-    # ordinary triple point iff the cone has three distinct directions,
-    # counting the direction lost to a degree drop as one simple root
-    if rs.multiplicities.max() == 1 and rs.total_multiplicity() >= 2:
-        return 'triple'
+    # rank one: rotate so the kernel of the quadratic part is the u-axis,
+    # then read off the lowest cubic terms
+    _, vecs = np.linalg.eigh(quad.conj().T @ quad)
+    kernel, normal = vecs[:, 0], vecs[:, 1]
+    du2 = kernel[0] * du + kernel[1] * dv
+    dv2 = normal[0] * du + normal[1] * dv
+    E2 = local_expansion(coeffs, p, du2, dv2)
+    if abs(E2[3, 0]) > tol:
+        return 'cusp'
+    if abs(E2[2, 1]) > tol:
+        return 'tacnode'
     return 'degenerate'
 
 

@@ -31,9 +31,9 @@ from .errors import CrossingError, NumericalError
 from .forms import (EXP2, MONOMIAL_INDEX, CubicForm, ProjPoint,
                     chart_points, eval_coeffs, eval_gradient,
                     gradient_coeffs, greedy_distinct, proj_distance,
-                    second_partials_matrix, substitute_linear,
-                    third_partials)
-from .locus import SingularSet, local_expansion, singular_points
+                    second_partials_matrix, substitute_linear)
+from .locus import (SingularSet, _binary_quadratic_roots, _cusp_jet,
+                    local_expansion, singular_points)
 from .roots import RootSet, UniPoly, all_roots
 
 CROSSING_SEED = 20240918
@@ -120,27 +120,6 @@ def line_division_residual(coeffs, ell):
     L = _line_multiplication_matrix(ell / np.abs(ell).max())
     q, res, *_ = np.linalg.lstsq(L, c, rcond=None)
     return float(np.linalg.norm(c - L @ q) / np.linalg.norm(c))
-
-
-def _binary_quadratic_roots(a, b, c):
-    """Root directions (u, v) of a u^2 + b uv + c v^2, numerically stable
-    for any coefficient pattern with at least one large coefficient."""
-    scale = max(abs(a), abs(b), abs(c))
-    if abs(a) < 1e-13 * scale and abs(c) < 1e-13 * scale:
-        return [(1.0 + 0j, 0.0 + 0j), (0.0 + 0j, 1.0 + 0j)]    # ~ b uv
-    swap = abs(c) > abs(a)
-    if swap:
-        a, c = c, a
-    disc = np.sqrt(b * b - 4 * a * c)
-    q = -(b + disc) / 2 if abs(b + disc) >= abs(b - disc) else -(b - disc) / 2
-    if abs(q) < 1e-13 * scale:
-        roots = [-b / (2 * a)] * 2
-    else:
-        roots = [q / a, c / q]
-    dirs = [(r, 1.0 + 0j) for r in roots]
-    if swap:
-        dirs = [(v, u) for (u, v) in dirs]
-    return dirs
 
 
 def _branch_tangents(coeffs, node):
@@ -372,45 +351,6 @@ def _crossing_newton(pencil, pchart, zchart, starts, iters=80):
     good = np.isfinite(res) & (res < 1e-9 * scale)
     good &= np.abs(u) < 1e7
     return z[good], u[good]
-
-
-def _cusp_jet(cs, a, b):
-    """A function of the rows x = (z_a, z_b, p_1, ...) for the member
-    cs[0] + sum_k p_k cs[k], the third coordinate pinned to 1.
-
-    It gives the residuals {f, f_a, f_b, det H2} (n, 4), their Jacobian
-    in x, and the full gradient; det H2 is the (a, b) minor of the second
-    partials, and its derivatives in z use the constant third partials.
-    """
-    thirds = np.stack([third_partials(c) for c in cs], axis=-1)
-
-    def jet(x):
-        z = chart_points(x, [a, b])
-        w = np.concatenate([np.ones((len(x), 1)), x[:, 2:]], axis=1)
-        Mk = np.stack([second_partials_matrix(c, z) for c in cs], axis=-1)
-        # by Euler's relation grad f = M z / 2 and f = z . grad f / 3
-        gk = 0.5 * np.einsum('nijk,nj->nik', Mk, z)
-        fk = np.einsum('nik,ni->nk', gk, z) / 3
-        g = np.einsum('nik,nk->ni', gk, w)
-        M = np.einsum('nijk,nk->nij', Mk, w)
-        T = np.einsum('ijlk,nk->nijl', thirds, w)
-
-        def ddet2(dM):
-            return (dM[:, a, a] * M[:, b, b] + M[:, a, a] * dM[:, b, b]
-                    - 2 * M[:, a, b] * dM[:, a, b])
-
-        det2 = M[:, a, a] * M[:, b, b] - M[:, a, b] ** 2
-        r = np.stack([(fk * w).sum(axis=1), g[:, a], g[:, b], det2], axis=1)
-        J = np.stack([
-            np.column_stack([g[:, a], g[:, b], fk[:, 1:]]),
-            np.column_stack([M[:, a, a], M[:, a, b], gk[:, a, 1:]]),
-            np.column_stack([M[:, b, a], M[:, b, b], gk[:, b, 1:]]),
-            np.column_stack([ddet2(T[..., a]), ddet2(T[..., b])]
-                            + [ddet2(Mk[..., k]) for k in range(1, len(cs))]),
-        ], axis=1)
-        return r, J, g
-
-    return jet
 
 
 def _refine_cusp_crossing(pencil, pchart, z0, u0, iters=60):

@@ -2,8 +2,7 @@
 
 Each demo runs in its own interpreter against the source tree, with
 RuntimeWarning turned into an error as in the rest of the suite, and
-must exit with status 0.  Demo 06 is left out: its net search alone takes
-about 13 s.
+must exit with status 0.
 """
 
 import os
@@ -16,7 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ["01_inflection_points", "02_stratification", "03_loop_monodromy",
          "04_discriminant_crossings", "05_monodromy_group",
-         "07_numerical_invariants"]
+         "06_net_of_cubics", "07_numerical_invariants"]
 
 
 def run_demo(name):
@@ -37,3 +36,5 @@ def test_demo_exits_cleanly(name):
     if name == "05_monodromy_group":
         # the lexicographically first conjugator onto the Hessian group
         assert "(relabelling (5,7,8)(6,9))" in done.stdout
+    if name == "06_net_of_cubics":
+        assert "24 cuspidal members found" in done.stdout

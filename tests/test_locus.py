@@ -8,7 +8,9 @@ itself.
 import numpy as np
 import pytest
 
-from cubicflex.errors import CommonComponentError, MatchingError
+from cubicflex import locus
+from cubicflex.errors import (CommonComponentError, MatchingError,
+                              NumericalError)
 from cubicflex.forms import (CubicForm, ProjPoint, cusp_family, fermat_cubic,
                              hesse_pencil, node_family, proj_distance,
                              triangle_cubic)
@@ -146,6 +148,11 @@ class TestSingularCubics:
 class TestSingularPoints:
     def test_smooth_has_none(self):
         assert singular_points(fermat_cubic()).is_empty()
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            f = CubicForm(rng.standard_normal(10)
+                          + 1j * rng.standard_normal(10))
+            assert singular_points(f).is_empty()
 
     def test_local_types_by_stratum(self):
         cases = [
@@ -190,6 +197,95 @@ class TestSingularPoints:
         d = min(proj_distance(sp.point.coords, p.point.coords)
                for p in fl.points)
         assert d < 1e-9
+
+
+def images(f, exact):
+    """(image of f, exact singular point of the image) under the identity
+    and the PGL(3) matrices of default_rng(0), (1), (2); f(M z) is singular
+    at M^-1 p."""
+    out = [(f, np.asarray(exact, dtype=complex))]
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        out.append((f.transform(M),
+                    np.linalg.solve(M, np.asarray(exact, dtype=complex))))
+    return out
+
+
+class TestSingularPointAccuracy:
+    """Singular points against their exact positions.  The conic
+    intersection gives nodes at once; a cusp or tacnode is pinned on a
+    deflated system, where Newton on the gradient alone stalls near
+    1e-8 and 5e-6."""
+
+    @pytest.mark.parametrize("f,exact,kind", [
+        (node_family(1.0, 1.0, 0.0), (0, 0, 1), 'node'),
+        (cusp_family(0.0), (0, 0, 1), 'cusp'),
+        (from_mono({(1, 0): 1, (0, 2): -1}), (1, 0, 0), 'tacnode'),
+    ], ids=["node", "cusp", "tacnode"])
+    def test_within_1e12_of_exact_point(self, f, exact, kind):
+        for g, p in images(f, exact):
+            s = singular_points(g)
+            assert s.local_types() == (kind,)
+            assert proj_distance(s.points[0].point.coords, p) < 1e-12
+
+    @pytest.mark.parametrize("key", [10345, 10796, 10938])
+    def test_tacnode_from_a_triple_root(self, key):
+        # found by a search over 2000 images: the line pair through a
+        # tacnode sits at a triple root of det(Q1 + t Q2), which comes
+        # back as a cluster of spread ~eps^(1/3); a member taken at one
+        # root of the cluster, not its mean, puts the vertex off by up to
+        # 1e-3, enough to misname the point or report it three times
+        rng = np.random.default_rng(key)
+        M = rng.uniform(-2, 2, (3, 3)) + 1j * rng.uniform(-2, 2, (3, 3))
+        f = from_mono({(1, 0): 1, (0, 2): -1}).transform(M).normalize()
+        s = singular_points(f)
+        assert s.local_types() == ('tacnode',)
+        p = np.linalg.solve(M, np.array([1, 0, 0], dtype=complex))
+        assert proj_distance(s.points[0].point.coords, p) < 1e-12
+
+    def test_several_nodes_exact(self):
+        # three general lines z1 z2 (z1 + z2 + z3), and the conic
+        # z1^2 + z2^2 = z3^2 with the secant line z3 = 0
+        for f, exact in [
+            (from_mono({(2, 1): 1, (1, 2): 1, (1, 1): 1}),
+             [(0, 0, 1), (0, 1, -1), (1, 0, -1)]),
+            (from_mono({(2, 0): 1, (0, 2): 1, (0, 0): -1}),
+             [(1, 1j, 0), (1, -1j, 0)]),
+        ]:
+            pts = singular_points(f).points
+            assert all(sp.local_type == 'node' for sp in pts)
+            match_sets([sp.point for sp in pts], exact, tol=1e-12)
+
+    def test_frame_with_weights_at_a_singular_point(self):
+        # a weight vector at a singular point makes its conic the tangent
+        # cone there, a line pair, and the next frame takes over
+        (w1, w2), (v1, _) = locus._CONIC_FRAMES
+        rng = np.random.default_rng(0)
+        for w in (w1, w2):
+            M = np.linalg.inv(np.column_stack(
+                [rng.standard_normal(3), rng.standard_normal(3), w]))
+            s = singular_points(node_family(1.0, 1.0, 0.0).transform(M))
+            assert s.local_types() == ('node',)
+            assert proj_distance(s.points[0].point.coords, w) < 1e-12
+        # three lines with nodes at a weight point of each frame
+        r = rng.standard_normal((2, 3))
+        M = np.array([np.cross(w1, v1), np.cross(w1, r[0]),
+                      np.cross(v1, r[1])])
+        with pytest.raises(NumericalError, match="usable line pair"):
+            singular_points(triangle_cubic().transform(M))
+
+    def test_frame_without_line_pair(self, monkeypatch):
+        # equal weights make Q1 = Q2, a pencil with no line pair in it
+        good = locus._CONIC_FRAMES[0]
+        bad = np.array([good[0], good[0]])
+        monkeypatch.setattr(locus, "_CONIC_FRAMES", (bad, good))
+        s = singular_points(cusp_family(0.0))
+        assert s.local_types() == ('cusp',)
+        assert proj_distance(s.points[0].point.coords, [0, 0, 1]) < 1e-12
+        monkeypatch.setattr(locus, "_CONIC_FRAMES", (bad, bad))
+        with pytest.raises(NumericalError, match="usable line pair"):
+            singular_points(cusp_family(0.0))
 
 
 class TestLabelling:

@@ -246,6 +246,23 @@ class TestDeduplication:
         assert len(kept) == 5
 
 
+    def test_chain_keeps_both_ends(self):
+        # d(A, B) < r and d(B, C) < r but d(A, C) > r: B goes with A, and
+        # C, which only B covered, survives; merging clusters would lose C
+        chain = np.array([[1.0, 0.0], [1.0, 0.6e-6], [1.0, 1.2e-6]],
+                         dtype=complex)
+
+        def max_norm(p, q):
+            return np.abs(np.asarray(q) - p).max(axis=-1)
+
+        for pts, distance in [(chain, proj_distance),
+                              (chain[:, 1:] * 1e6, max_norm)]:
+            radius = 1e-6 if distance is proj_distance else 1.0
+            kept = greedy_distinct(pts, radius, distance)
+            assert kept == [0, 2]
+            assert kept == reference_distinct(pts, radius, distance)
+
+
 @pytest.fixture(scope="module")
 def net3():
     rng = np.random.default_rng(3)
