@@ -37,7 +37,9 @@ class CommonComponentError(NumericalError):
 
 
 class ChartError(NumericalError):
-    """No affine chart exposed the full intersection ('chart exhaustion')."""
+    """The inflection resultant in the fixed frame did not resolve: the
+    singular point's multiplicity did not fit, a simple inflection point
+    failed its Newton polish, or the wrong number of them was found."""
 
 
 class MatchingError(NumericalError):

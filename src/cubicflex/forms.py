@@ -154,6 +154,31 @@ def hessian_coeffs(coeffs):
     return _HESSIAN_SCATTER @ (a[i] * a[j] * a[k])
 
 
+def exact_hessian_coeffs(coeffs):
+    """hessian_coeffs with every coefficient correctly rounded.
+
+    The 102 terms can cancel to a thousandth of their size, and the
+    floating-point sum loses as many digits.  Each coefficient part is an
+    integer over one common power of two, so Python integers sum the terms
+    exactly, and each result is rounded once.  Parts of modulus above
+    about 1e100 give a Hessian beyond the float range: OverflowError."""
+    a = np.asarray(coeffs, dtype=complex)
+    ratios = [x.as_integer_ratio()
+              for x in np.concatenate([a.real, a.imag]).tolist()]
+    den = max(d for _, d in ratios)
+    n = np.array([p * (den // d) for p, d in ratios], dtype=object)
+    re, im = n[:10], n[10:]
+    m, i, j, k = HESSIAN_TERMS
+    w = HESSIAN_TENSOR[m, i, j, k].astype(int).astype(object)
+    pr = re[i] * re[j] - im[i] * im[j]
+    pi = re[i] * im[j] + im[i] * re[j]
+    tr = w * (pr * re[k] - pi * im[k])
+    ti = w * (pr * im[k] + pi * re[k])
+    den3 = den ** 3
+    return np.array([complex(tr[m == s].sum() / den3, ti[m == s].sum() / den3)
+                     for s in range(10)])
+
+
 def hessian_directional(coeffs, direction):
     """Directional derivative of hessian_coeffs along a coefficient path."""
     a = np.asarray(coeffs, dtype=complex)
@@ -249,13 +274,14 @@ class CubicForm:
         return eval_gradient(self.coeffs, p)
 
     def hessian_form(self):
-        """The Hessian of this cubic as a new cubic form.
+        """The Hessian of this cubic as a new cubic form, with correctly
+        rounded coefficients.
 
         The coefficients are cubic in those of f, so the identically-zero
-        Hessian of a cone shows up as pure rounding noise relative to
-        scale()**3; that counts as vanishing.
+        Hessian of a cone whose coefficients carry rounding shows up as
+        noise relative to scale()**3; that counts as vanishing.
         """
-        h = hessian_coeffs(self.coeffs)
+        h = exact_hessian_coeffs(self.coeffs)
         if np.max(np.abs(h)) <= 1e-10 * self.scale() ** 3:
             raise DegenerateInputError("hessian vanishes identically")
         return CubicForm(h)
@@ -302,7 +328,11 @@ class CubicForm:
 
 @dataclass(frozen=True)
 class ProjPoint:
-    """A point of the projective plane, stored with max-modulus coord = 1."""
+    """A point of the projective plane, stored with max-modulus coord = 1.
+
+    The pivot is the first coordinate whose modulus is within a relative
+    1e-9 of the largest, so a tie such as (0, 1, -1) normalises the same
+    way whatever the rounding of its last bits."""
 
     coords: np.ndarray
 
@@ -313,7 +343,7 @@ class ProjPoint:
         m = np.abs(v)
         if m.max() == 0.0:
             raise DegenerateInputError("all coordinates zero")
-        v = v / v[int(np.argmax(m))]
+        v = v / v[int(np.argmax(m >= (1 - 1e-9) * m.max()))]
         v.flags.writeable = False
         object.__setattr__(self, 'coords', v)
 

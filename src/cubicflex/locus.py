@@ -1,14 +1,13 @@
 """Inflection and singular points of a plane cubic.
 
 The nine inflection points (counted with intersection multiplicity) are
-the common zeros of the cubic and its Hessian.  They are found by
-eliminating one variable with a chart-line resultant, back-substituting
-along the corresponding pencil of lines, and Newton-correcting the
-simple solutions with the shared batched core in newton.py.
-Multiplicity at a singular point of the curve is attributed by counting
-resultant roots whose projection line passes through that point; this
-stays exact even when floating-point noise smears a high-multiplicity
-resultant root into a loose cluster.
+the common zeros of the cubic and its Hessian.  In one fixed generic
+unitary frame, a chart-line resultant eliminates one variable.  A cubic
+with a finite inflection scheme is smooth or has one node or cusp, so
+the known multiplicity of that single singular point (6 or 8) is divided
+out of the resultant.  The lines through the roots of the quotient meet
+the cubic in Newton starts for the shared batched core in newton.py, and
+the distinct regular zeros found must be the simple inflection points.
 
 Singular points of a cone (triple point or singular line) follow from
 its binary form.  Otherwise they are common zeros of the three partial
@@ -28,19 +27,12 @@ import numpy as np
 from .errors import (ChartError, CommonComponentError, DegenerateInputError,
                      MatchingError, NumericalError)
 from . import newton
-from .forms import (EXP2, EXP3, MONOMIAL_INDEX, CubicForm, ProjPoint,
+from .forms import (EXP2, MONOMIAL_INDEX, CubicForm, ProjPoint,
                     chart_points, eval_coeffs, eval_gradient,
                     gradient_coeffs, greedy_distinct, monomial_values,
                     proj_distance, second_partials_matrix, substitute_linear,
                     third_partials)
-from .roots import CHARTS, all_roots, cubic_in_variable, resultant_on_chart
-
-# fallback coordinate changes for inflection charts; integer matrices
-# keep integer inputs well scaled
-FALLBACK_TRANSFORMS = (
-    np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 2.0]]),
-    np.array([[2.0, -1.0, 1.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]),
-)
+from .roots import all_roots, cubic_in_variable, resultant_on_chart
 
 
 @dataclass(frozen=True)
@@ -318,10 +310,19 @@ def singular_points(f):
     pts = []
     for p in z[greedy_distinct(z, 1e-3)]:
         kind = _local_type(c, ProjPoint(p))
-        p = ProjPoint(_pin(c, p, kind))
-        if np.abs(eval_gradient(c, p.coords)).max() < 1e-11:
-            pts.append(SingularPoint(p, kind))
+        q = _pin(c, p, kind)
+        if kind == 'cusp' and not _is_singular(c, q):
+            # the rank cut of _local_type can name a badly conditioned
+            # node a cusp, and then the deflated system has no solution
+            kind, q = 'node', _pin(c, p, 'node')
+        if _is_singular(c, q):
+            pts.append(SingularPoint(ProjPoint(q), kind))
     return SingularSet(points=tuple(pts))
+
+
+def _is_singular(coeffs, p):
+    """The strict gate: the whole gradient vanishes at p."""
+    return np.abs(eval_gradient(coeffs, ProjPoint(p).coords)).max() < 1e-11
 
 
 def local_expansion(coeffs, point, dir_u, dir_v):
@@ -383,38 +384,25 @@ def _local_type(coeffs, point):
 # ---------------------------------------------------------------------------
 # inflection points
 
-def _line_candidates(fc, elim, swap, t):
-    """Points of the chart line at parameter t where the cubic vanishes.
+# a fixed generic unitary frame for the inflection resultant
+_FLEX_FRAME = np.linalg.qr(np.random.default_rng(7).standard_normal((3, 3, 2))
+                           @ [1, 1j])[0]
+# the intersection multiplicity of a cubic and its Hessian at a node or
+# cusp; any other singular point lies on a line of the cubic
+_SINGULAR_MULTIPLICITY = {'node': 6, 'cusp': 8}
 
-    Includes the point 'at infinity' along the eliminated direction when
-    the restricted cubic drops degree.
+
+def _line_candidates(gc, ts):
+    """The points (3 n, 3) where the lines (1, t, *), t in ts, meet the
+    cubic gc.  In a generic frame the coefficient of z3^3 is the nonzero
+    constant gc(e3), so each line meets the cubic in three finite points.
     """
-    cs = cubic_in_variable(fc, elim, swap)
-    vals = np.array([c @ t ** np.arange(len(c)) if len(c) else 0.0 + 0.0j
-                     for c in cs])          # ascending in the kept variable
-    keep = [v for v in range(3) if v != elim]
-    base = np.zeros(3, dtype=complex)
-    if not swap:
-        base[keep[0]], base[keep[1]] = 1.0, t
-    else:
-        base[keep[0]], base[keep[1]] = t, 1.0
-    e_dir = np.zeros(3, dtype=complex)
-    e_dir[elim] = 1.0
-    vmax = np.abs(vals).max()
-    if vmax == 0.0:
-        return []               # the whole line lies on the cubic
-    nz = np.nonzero(np.abs(vals) > 1e-13 * vmax)[0]
-    deg = int(nz.max())
-    if deg == 0:
-        return [ProjPoint(e_dir)]
-    try:
-        rs = all_roots(vals[:deg + 1])
-    except NumericalError:
-        return []
-    out = [ProjPoint(base + r * e_dir) for r in rs.roots]
-    if deg < 3:
-        out.append(ProjPoint(e_dir))
-    return out
+    cs = cubic_in_variable(gc, 2, False)
+    z = []
+    for t in ts:
+        vals = [c @ t ** np.arange(len(c)) for c in cs]     # ascending in z3
+        z += [[1.0, t, r] for r in np.roots(vals[::-1])]
+    return np.array(z)
 
 
 def free_coords(chart):
@@ -448,95 +436,49 @@ def flex_system(fc, hc, z0, free):
     return z0[rows, free], lift, system
 
 
-def _batch_newton_flex(fc, hc, pts, iters=18):
-    """Newton-correct candidate inflection points on the 2x2 system."""
-    if len(pts) == 0:
-        return np.zeros((0, 3), dtype=complex), np.zeros(0, dtype=bool)
-    z0 = np.array([p.coords for p in pts], dtype=complex)
+def _batch_newton_flex(fc, hc, z0, iters=18):
+    """Newton-correct candidate inflection points z0 (n, 3) on the 2x2
+    system; the rows (n, 3) and whether each is a regular zero."""
     # each row keeps its largest coordinate fixed
     x0, lift, system = flex_system(
         fc, hc, z0, free_coords(np.argmax(np.abs(z0), axis=1)))
     x, _ = newton.solve(system, x0, iters)
     z = lift(x)
     size = np.abs(z).max(axis=1)
-    good = (np.abs(system(x)[0]) < 1e-10 * size[:, None] ** 3).all(axis=1)
-    return z, good & (size < 1e7)
+    r, J = system(x)
+    # near a singular point the residual is small far from any zero; a
+    # next Newton step below the radius that tells flexes apart marks a
+    # regular zero
+    step = np.abs(newton.linear_solve(J, r)).max(axis=1)
+    good = (np.abs(r) < 1e-10 * size[:, None] ** 3).all(axis=1)
+    return z, good & (step < 1e-7 * size) & (size < 1e7)
 
 
-def _chart_projection(coords, elim, swap):
-    """Chart-line parameter of a point; None when it escapes the chart."""
-    keep = [v for v in range(3) if v != elim]
-    a, b = coords[keep[0]], coords[keep[1]]
-    num, den = (b, a) if not swap else (a, b)
-    if abs(den) < 1e-6 * max(abs(num), 1e-12) or abs(num) > 1e6 * abs(den):
-        return None
-    return num / den
-
-
-def _attribute_chart(rs, elim, swap, anchors, n_simple):
-    """Multiplicity tally {anchor_index: m} for one chart, or None.
-
-    Each resultant root must be explained by the anchors projecting onto
-    it: simple inflection points take one count apiece and at most one
-    singular point absorbs the remainder.  An unexplained or ambiguous
-    root invalidates the chart.
-    """
-    proj = [_chart_projection(a.coords, elim, swap) for a in anchors]
-    tally = {i: 0 for i, pr in enumerate(proj) if pr is not None}
-    for t, m in zip(rs.roots, rs.multiplicities):
-        near = [i for i, pr in enumerate(proj)
-                if pr is not None and abs(pr - t) < 0.05 * (1 + abs(t))]
-        if not near:
-            return None
-        simple_near = [i for i in near if i < n_simple]
-        sing_near = [i for i in near if i >= n_simple]
-        if len(sing_near) == 0:
-            if int(m) != len(simple_near):
-                return None
-            for i in simple_near:
-                tally[i] += 1
-        elif len(sing_near) == 1:
-            if m - len(simple_near) < 1:
-                return None
-            for i in simple_near:
-                tally[i] += 1
-            tally[sing_near[0]] += int(m) - len(simple_near)
-        else:
-            return None
-    if any(tally[i] != 1 for i in tally if i < n_simple):
-        return None
-    return tally
-
-
-def _assemble(chart_data, anchors, n_simple):
-    """Combine per-chart tallies into one global assignment, or None."""
-    assigned = {}
-    any_ok = False
-    for (elim, swap, rs) in chart_data:
-        tally = _attribute_chart(rs, elim, swap, anchors, n_simple)
-        if tally is None:
-            continue
-        any_ok = True
-        for i, m in tally.items():
-            if i in assigned and assigned[i] != m:
-                return None
-            assigned[i] = m
-    if not any_ok or len(assigned) != len(anchors):
-        return None
-    if sum(assigned.values()) != 9:
-        return None
-    return assigned
-
-
-def inflection_points(f, cluster_radius=1e-5, allow_transforms=True):
+def inflection_points(f):
     """The nine inflection points of a cubic, with multiplicities.
 
+    They are the common zeros of the cubic and its Hessian, in one fixed
+    generic unitary frame U: with g = f(U z), the chart resultant R(t) of
+    g and its Hessian, eliminating z3, has a root at t = z2/z1 of each
+    inflection point, counted with multiplicity.  A cubic with a finite
+    inflection scheme is smooth or has a single node or cusp, where the
+    multiplicity is 6 or 8 (Harris, Duke Math. J. 1979).  That known
+    factor (t - t_s)^m of R is divided out by linear least squares, and
+    the fit residual checks m.  The three points where the line of each
+    root of the quotient meets g are Newton starts in the frame; the
+    distinct regular zeros away from the singular point must be exactly
+    the 9 - m simple inflection points.  They are mapped back through U
+    and polished again.
+
     Raises CommonComponentError when the cubic shares a component with
-    its Hessian (every cubic containing a line does), ChartError when no
-    chart strategy exposes all nine intersection points.
+    its Hessian (every cubic containing a line does, and so does every
+    cubic with two or more singular points), ChartError when the fit or a
+    polish fails or the count of simple inflection points is wrong.
     """
     fn = f if isinstance(f, CubicForm) else CubicForm(f)
-    fn = fn.normalize()
+    # a power of two scales without rounding: through the Hessian, a flex
+    # can move a thousand times further than a rounding of f's coefficients
+    fn = fn * 2.0 ** -np.frexp(fn.scale())[1]
     try:
         hess = fn.hessian_form().normalize()
     except DegenerateInputError as exc:
@@ -549,72 +491,52 @@ def inflection_points(f, cluster_radius=1e-5, allow_transforms=True):
     if sing.singular_line is not None:
         raise CommonComponentError(
             "cubic has a singular line; the inflection scheme is not finite")
-    sing_pts = [sp.point for sp in sing.points]
-
-    def away_from_singular(p):
-        return all(proj_distance(p.coords, s.coords) >= 1e-3
-                   for s in sing_pts)
-
-    simple = []          # discovered simple inflection points (ProjPoint)
-    chart_data = []      # (elim, swap, rootset) for usable charts
-    zero_charts = 0
-    assignment = None
-
-    for chart_id in range(len(CHARTS)):
-        elim, swap = CHARTS[chart_id]
-        try:
-            R = resultant_on_chart(fc, hc, chart_id)
-        except CommonComponentError:
-            zero_charts += 1
-            continue
-        try:
-            rs = all_roots(R, cluster_radius=cluster_radius)
-        except NumericalError:
-            continue
-        # discovery: Newton-correct candidates on lines through each root
-        cands = [p for t in rs.roots
-                 for p in _line_candidates(fc, elim, swap, t)
-                 if abs(eval_coeffs(hc, p.coords)) <= 1e-2
-                 and away_from_singular(p)]
-        z, good = _batch_newton_flex(fc, hc, cands)
-        new = [p for p in map(ProjPoint, z[good]) if away_from_singular(p)]
-        # the points kept from earlier charts stay first, so they survive
-        pts = simple + new
-        simple = [pts[i] for i in
-                  greedy_distinct([p.coords for p in pts], 1e-7)]
-        chart_data.append((elim, swap, rs))
-        assignment = _assemble(chart_data, simple + sing_pts, len(simple))
-        if assignment is not None:
-            break
-
-    if zero_charts == len(CHARTS):
+    if len(sing.points) > 1 or any(sp.local_type not in _SINGULAR_MULTIPLICITY
+                                   for sp in sing.points):
         raise CommonComponentError(
-            "resultant vanishes identically on every chart; the cubic and "
-            "its hessian share a component")
+            f"singular points {sing.local_types()}: the cubic contains a "
+            "line, which it shares with its hessian")
 
-    if assignment is not None:
-        anchors = simple + sing_pts
-        pts = tuple(InflectionPoint(anchors[i], m)
-                    for i, m in sorted(assignment.items()))
-        return _finish(fn, hess, pts)
-
-    if allow_transforms:
-        for M in FALLBACK_TRANSFORMS:
-            try:
-                inner = inflection_points(fn.transform(M),
-                                          cluster_radius=cluster_radius,
-                                          allow_transforms=False)
-            except (ChartError, NumericalError):
-                continue
-            # the transformed form is f(M z), so its points push forward
-            # through M back to points of f
-            pts = tuple(InflectionPoint(ProjPoint(M @ ip.point.coords),
-                                        ip.multiplicity)
-                        for ip in inner.points)
-            return _finish(fn, hess, pts)
-    raise ChartError(
-        "chart exhaustion: no chart strategy exposed all nine inflection "
-        "points")
+    # H(U z) is the Hessian of g up to the constant det(U)^2
+    gc = substitute_linear(fc, _FLEX_FRAME)
+    hgc = substitute_linear(hc, _FLEX_FRAME)
+    R = np.zeros(10, dtype=complex)
+    r = resultant_on_chart(gc, hgc, (2, False)).coeffs
+    R[:len(r)] = r
+    Q, pts = R, []
+    for sp in sing.points:                  # at most one
+        m = _SINGULAR_MULTIPLICITY[sp.local_type]
+        w = _FLEX_FRAME.conj().T @ sp.point.coords
+        factor = np.poly(np.full(m, w[1] / w[0]))[::-1]    # (t - t_s)^m
+        # R = A Q is linear in the coefficients of Q, of degree 9 - m
+        A = np.array([np.convolve(factor, e) for e in np.eye(10 - m)]).T
+        Q = np.linalg.lstsq(A, R, rcond=None)[0]
+        misfit = np.linalg.norm(A @ Q - R) / np.linalg.norm(R)
+        if misfit > 1e-6:
+            raise ChartError(
+                f"the resultant has no root of multiplicity {m} at the "
+                f"{sp.local_type} (relative misfit {misfit:.1e})")
+        pts.append(InflectionPoint(sp.point, m))
+    # every point where the line of a root of Q meets the cubic is a start:
+    # close to a singular cubic the roots cluster and lose accuracy, and a
+    # line's flex may be reached only from another line's point.  Repeats
+    # and the singular point drop out, and 9 - m simple flexes must remain
+    ts = all_roots(Q, cluster_radius=1e-12).roots
+    z, good = _batch_newton_flex(gc, hgc, _line_candidates(gc, ts))
+    z = z[good]
+    for ip in pts:
+        z = z[proj_distance(_FLEX_FRAME.conj().T @ ip.point.coords, z)
+              >= 1e-3]
+    z = z[greedy_distinct(z, 1e-7)]
+    if len(z) != len(Q) - 1:
+        raise ChartError(f"{len(z)} distinct simple inflection points, "
+                         f"not {len(Q) - 1}")
+    z, good = _batch_newton_flex(fc, hc, z @ _FLEX_FRAME.T)
+    if not good.all():
+        raise ChartError("a simple inflection point failed the Newton "
+                         "polish after the frame change")
+    simple = [InflectionPoint(ProjPoint(p), 1) for p in z]
+    return _finish(fn, hess, tuple(simple + pts))
 
 
 def _finish(fn, hess, pts):
@@ -627,16 +549,10 @@ def _finish(fn, hess, pts):
             raise NumericalError(
                 f"inflection point {ip.point} violates the residual "
                 f"contract (|F|={fv:.2e}, |H|={hv:.2e})")
-    order = sorted(
-        range(len(pts)),
-        key=lambda i: (-pts[i].multiplicity,
-                       np.round(pts[i].point.coords.real, 9).tolist(),
-                       np.round(pts[i].point.coords.imag, 9).tolist()))
-    out = InflectionSet(tuple(pts[i] for i in order))
-    if out.total_multiplicity() != 9:
-        raise NumericalError(
-            f"multiplicities sum to {out.total_multiplicity()}, not 9")
-    return out
+    return InflectionSet(tuple(sorted(
+        pts, key=lambda ip: (-ip.multiplicity,
+                             np.round(ip.point.coords.real, 9).tolist(),
+                             np.round(ip.point.coords.imag, 9).tolist()))))
 
 
 # ---------------------------------------------------------------------------

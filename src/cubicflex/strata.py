@@ -353,26 +353,6 @@ def _crossing_newton(pencil, pchart, zchart, starts, iters=80):
     return z[good], u[good]
 
 
-def _refine_cusp_crossing(pencil, pchart, z0, u0, iters=60):
-    """Newton on {f_a, f_b, det H2} near a degenerate crossing; regular
-    at a cuspidal member where the plain gradient system is not."""
-    zchart = int(np.argmax(np.abs(z0)))
-    a, b = [v for v in range(3) if v != zchart]
-    jet = _cusp_jet(_chart_pair(pencil, pchart), a, b)
-
-    def system(x):
-        r, J, _ = jet(x)
-        return r[:, 1:], J[:, 1:]
-
-    z = z0 / z0[zchart]
-    x, _ = newton.solve(system, [[z[a], z[b], u0]], iters)
-    _, _, g = jet(x)
-    z = chart_points(x, [a, b])[0]
-    if not np.abs(g).max() <= 1e-8 * max(1.0, np.abs(z).max() ** 2):
-        return None
-    return z, x[0, 2]
-
-
 @dataclass(frozen=True)
 class Crossing:
     parameter: np.ndarray        # (t1, t2), normalized
@@ -461,7 +441,9 @@ def pencil_crossings(pencil, starts_per_chart=200, seed=CROSSING_SEED,
                 f"{t_fit} has no Newton witness")
         group.sort(key=lambda g: g[0])
         _, t, w = group[0]
-        label = _classify_crossing(pencil, t, w)
+        label, _ = classify(pencil.member(t))
+        if label is StratumLabel.SMOOTH:
+            raise NumericalError(f"crossing at {t} classifies as smooth")
         # a root of multiplicity m with m distinct nodal witnesses is m
         # simple crossings closer together than the fit could separate
         if 1 < m == len(group) and label is StratumLabel.B1 and all(
@@ -500,37 +482,6 @@ def _is_nodal(member):
         return classify(member)[0] is StratumLabel.B1
     except NumericalError:
         return False
-
-
-def _classify_crossing(pencil, t, witness):
-    """Stratum label of the member at a crossing.
-
-    A crossing parameter from the plain gradient Newton is only
-    half-precision accurate when the singular point is degenerate (the
-    system's Jacobian drops rank at a cusp), so a Smooth or failed
-    classification triggers a refinement pass through the regularized
-    system {f_a, f_b, det H2} before retrying.
-    """
-    label = None
-    try:
-        label, _ = classify(pencil.member(t))
-    except NumericalError:
-        pass
-    if label is not None and label is not StratumLabel.SMOOTH:
-        return label
-    pchart = 0 if abs(t[0]) >= abs(t[1]) else 1
-    u0 = t[1] / t[0] if pchart == 0 else t[0] / t[1]
-    ref = _refine_cusp_crossing(pencil, pchart, witness.coords, u0)
-    if ref is None:
-        raise NumericalError(
-            f"crossing at {t} could not be classified or refined")
-    _, u = ref
-    t2 = np.array([1.0, u]) if pchart == 0 else np.array([u, 1.0])
-    label, _ = classify(pencil.member(t2))
-    if label is StratumLabel.SMOOTH:
-        raise NumericalError(
-            f"crossing at {t} classifies as smooth after refinement")
-    return label
 
 
 # ---------------------------------------------------------------------------

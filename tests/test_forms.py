@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,7 +10,8 @@ from cubicflex import (CubicForm, ProjPoint, Pencil, Net, SchemaError,
                        DegenerateInputError, proj_distance,
                        fermat_cubic, triangle_cubic, node_family, cusp_family)
 from cubicflex.forms import (HESSIAN_TENSOR, HESSIAN_TERMS, MONOMIAL_INDEX,
-                             MONOMIALS, hessian_coeffs, hessian_directional,
+                             MONOMIALS, exact_hessian_coeffs, hessian_coeffs,
+                             hessian_directional,
                              eval_coeffs, eval_gradient, substitute_linear,
                              second_partials_matrix)
 
@@ -245,6 +247,42 @@ def test_projpoint_normalization_exact():
     assert p.coords[1] == 1.0 + 0.0j  # -6j has the largest modulus
     with pytest.raises(DegenerateInputError):
         ProjPoint([0, 0, 0])
+
+
+def test_projpoint_pivot_ignores_last_bits():
+    # (0, 1, -1) and the like tie for the largest modulus; rounding must
+    # not decide which coordinate becomes 1
+    rng = np.random.default_rng(3)
+    w = np.exp(2j * np.pi / 3)
+    for q in ([0, 1, -1], [1, -w, 0], [w, 0, -1], [1, 1, 1]):
+        q = np.asarray(q, dtype=complex)
+        for _ in range(20):
+            bits = 1 + 4e-16 * (rng.standard_normal(3)
+                                + 1j * rng.standard_normal(3))
+            scale = rng.standard_normal() + 1j * rng.standard_normal()
+            got = ProjPoint(scale * q * bits).coords
+            assert np.allclose(got, ProjPoint(q).coords, atol=1e-14)
+            assert abs(got[np.argmax(np.abs(q))] - 1) < 1e-15
+
+
+def test_exact_hessian_is_correctly_rounded():
+    # integer forms give integer Hessians either way
+    for f in (fermat_cubic(), node_family(2, 3, 5), cusp_family(7)):
+        assert np.array_equal(exact_hessian_coeffs(f.coeffs),
+                              hessian_coeffs(f.coeffs))
+    # on a nodal image the 102 terms cancel; 60-digit sums of the same
+    # terms, rounded once, must agree to the last bit
+    rng = np.random.default_rng(177)
+    M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    a = node_family(1, 1, 0).transform(M).normalize().coeffs
+    m, i, j, k = HESSIAN_TERMS
+    with mpmath.workdps(60):
+        c = [mpmath.mpc(complex(x)) for x in a]
+        ref = [complex(mpmath.fsum(HESSIAN_TENSOR[s, i[t], j[t], k[t]]
+                                   * c[i[t]] * c[j[t]] * c[k[t]]
+                                   for t in np.flatnonzero(m == s)))
+               for s in range(10)]
+    assert np.array_equal(exact_hessian_coeffs(a), ref)
 
 
 def test_zero_form_rejected():

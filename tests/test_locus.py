@@ -5,18 +5,20 @@ numerical pipeline is checked against independent data, not against
 itself.
 """
 
+import mpmath
 import numpy as np
 import pytest
 
 from cubicflex import locus
 from cubicflex.errors import (CommonComponentError, MatchingError,
                               NumericalError)
-from cubicflex.forms import (CubicForm, ProjPoint, cusp_family, fermat_cubic,
-                             hesse_pencil, node_family, proj_distance,
-                             triangle_cubic)
+from cubicflex.forms import (EXP3, THIRD, CubicForm, ProjPoint, cusp_family,
+                             fermat_cubic, hesse_pencil, node_family,
+                             proj_distance, triangle_cubic)
 from cubicflex.locus import (InflectionSet, hesse_base_points,
                              inflection_points, label_against,
                              nearest_labels, singular_points)
+from cubicflex.strata import StratumLabel, classify
 
 W = np.exp(2j * np.pi / 3)
 
@@ -286,6 +288,102 @@ class TestSingularPointAccuracy:
         monkeypatch.setattr(locus, "_CONIC_FRAMES", (bad, bad))
         with pytest.raises(NumericalError, match="usable line pair"):
             singular_points(cusp_family(0.0))
+
+
+def gaussian_image(f, key):
+    """f(M z) and M, for M = standard_normal((3,3)) + 1j*standard_normal((3,3))
+    from default_rng(key)."""
+    rng = np.random.default_rng(key)
+    M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    return f.transform(M), M
+
+
+def mp_flex(coeffs, z, digits=40):
+    """The solution of {F, H} = 0 at `digits` digits, by Newton from z
+    with the largest coordinate of z held at 1; the Hessian is the
+    determinant of the second partials, from the exact third partials."""
+    with mpmath.workdps(digits):
+        c = [mpmath.mpc(complex(a)) for a in coeffs]
+        T = [[[mpmath.fsum(t * a for t, a in zip(THIRD[u, v, w], c))
+               for w in range(3)] for v in range(3)] for u in range(3)]
+        k = int(np.argmax(np.abs(z)))
+        free = [v for v in range(3) if v != k]
+
+        def point(x, y):
+            p = [mpmath.mpf(1)] * 3
+            p[free[0]], p[free[1]] = x, y
+            return p
+
+        def F(x, y):
+            p = point(x, y)
+            return mpmath.fsum(a * p[0] ** e[0] * p[1] ** e[1] * p[2] ** e[2]
+                               for a, e in zip(c, EXP3))
+
+        def H(x, y):
+            p = point(x, y)
+            return mpmath.det(mpmath.matrix(
+                [[mpmath.fsum(T[u][v][w] * p[w] for w in range(3))
+                  for v in range(3)] for u in range(3)]))
+
+        z = np.asarray(z) / z[k]
+        x, y = mpmath.findroot([F, H], (mpmath.mpc(z[free[0]]),
+                                        mpmath.mpc(z[free[1]])))
+        return np.array([complex(v) for v in point(x, y)])
+
+
+class TestFixedFrame:
+    """One resultant in a fixed generic frame, with the known multiplicity
+    of the single node or cusp divided out of it."""
+
+    @pytest.mark.parametrize("key", [39, 52, 131, 134])
+    def test_cuspidal_images(self, key):
+        # the 8-fold root of the resultant comes back spread by about
+        # eps^(1/8); on these images clustering the roots cannot tell the
+        # cusp's share from the simple flex
+        f, M = gaussian_image(cusp_family(0.0), key)
+        fl = inflection_points(f)
+        assert fl.multiplicity_signature() == (8, 1)
+        assert proj_distance(fl.points[0].point.coords,
+                             np.linalg.solve(M, [0, 0, 1])) < 1e-12
+
+    @pytest.mark.parametrize("eps", [1e-5, 1e-9])
+    @pytest.mark.parametrize("base,count", [
+        (node_family(1.0, 1.0, 0.0), 6), (cusp_family(0.0), 8)],
+        ids=["node", "cusp"])
+    def test_flexes_collapse_onto_the_singular_point(self, base, count, eps):
+        # f + eps g is smooth for small eps, and its nine simple flexes
+        # converge as eps -> 0: 6 onto a node and 8 onto a cusp, the
+        # multiplicities of the singular cubic (a Cauchy endgame view).
+        # At 1e-9 the resultant's roots near the singular point are too
+        # clustered to give one start per flex
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            g = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+            fl = inflection_points(CubicForm(base.coeffs + eps * g))
+            assert fl.multiplicity_signature() == (1,) * 9
+            near = proj_distance([0, 0, 1], fl.coords_array()) < 0.2
+            assert near.sum() == count
+
+    @pytest.mark.parametrize("base,key", [
+        (node_family(1.0, 1.0, 0.0), 177), (fermat_cubic(), 151)],
+        ids=["nodal-177", "fermat-151"])
+    def test_simple_flexes_against_mpmath(self, base, key):
+        f, _ = gaussian_image(base, key)
+        for ip in inflection_points(f).simple_points():
+            z = ip.point.coords
+            assert proj_distance(z, mp_flex(f.coeffs, z)) < 1e-12
+
+    @pytest.mark.parametrize("key", [20223, 22389])
+    def test_badly_conditioned_nodal_images(self, key):
+        # cond 535 and 178: the rank cut of the local type names the node
+        # a cusp, and the cusp pin finds no point; the node pin does
+        f, M = gaussian_image(node_family(1.0, 1.0, 0.0), key)
+        assert classify(f)[0] is StratumLabel.B1
+        s = singular_points(f)
+        assert s.local_types() == ('node',)
+        assert proj_distance(s.points[0].point.coords,
+                             np.linalg.solve(M, [0, 0, 1])) < 1e-12
+        assert inflection_points(f).multiplicity_signature() == (6, 1, 1, 1)
 
 
 class TestLabelling:
