@@ -31,8 +31,9 @@ table = hesse_base_points()
 print("  distance from each computed point to the classical table:")
 for ip in infl.points:
     d = min(proj_distance(ip.point.coords, q.coords) for q in table)
-    z = np.round(ip.point.coords, 6)
-    print(f"    {z}  ->  {d:.2e}")
+    # adding zero drops the sign of a rounded zero
+    z = np.round(ip.point.coords, 6) + 0.0
+    print(f"    {z}  ->  {'< 1e-12' if d < 1e-12 else f'{d:.2e}'}")
 
 # ---------------------------------------------------------------------------
 # Degenerations: singular members have fewer, fatter inflection points

@@ -4,9 +4,24 @@ A loop in coefficient space (piecewise lines and circular arcs) is
 discretized adaptively; the nine inflection points of the moving cubic
 are carried in lockstep by an Euler predictor (implicit-function
 derivative of {F = 0, H = 0}) and a Newton corrector, both solved by the
-shared batched core in newton.py, with a pairwise proximity guard that
-detects collision with the discriminant.  Matching the transported
-points against the initial labels yields the monodromy permutation.
+shared batched core in newton.py.  Matching the transported points
+against the initial labels yields the monodromy permutation.
+
+Step control.  A step stands only when the corrector converges, the
+points stay farther apart than the proximity guard, and the corrector
+moves no point by more than SEPARATION_GATE times the least pairwise
+separation before and after the step; a point that had jumped to
+another sheet would have to move that far.  A refused step is halved,
+down to min_step.  Each segment starts at min(initial_step,
+step_cap()), and after four accepted steps in a row the step doubles,
+up to GROWTH_CEILING of the segment.
+
+Bypass routes.  The bypass of a crossing on a line through the
+basepoint runs straight toward it, once around it, and back.  Where the
+straight segment comes close to another crossing it detours on a small
+arc around it, on the side it already passes it, so the route stays
+homotopic to the straight one and the lassos of a line stay an ordered
+system whose product is the identity.
 """
 
 from __future__ import annotations
@@ -31,7 +46,16 @@ from .strata import pencil_discriminant_fit
 logger = logging.getLogger(__name__)
 
 CHART_SWITCH = 1e3
+# a step stands only if the corrector moves no point by more than this
+# share of the least flex separation before and after it
+SEPARATION_GATE = 0.02
+# steps grow, after four accepted in a row, up to this share of a segment
+GROWTH_CEILING = 0.25
 ARC_TURN_CAP = 1.0 / 64.0
+# a bypass detours around another crossing o at up to this share of the
+# distance from o to its nearest other crossing; below 1/2, the disks of
+# two detours are disjoint, so two detours never overlap
+DETOUR_SHARE = 0.45
 CLOSURE_TOL = 1e-12
 
 
@@ -117,6 +141,14 @@ def _segment_from_json(d):
     raise SchemaError(f"unknown segment kind {d['kind']!r}")
 
 
+def _reversed_segments(segments):
+    """The same path traversed backwards."""
+    return tuple(Line(seg.end, seg.start) if isinstance(seg, Line)
+                 else Arc(seg.center, seg.direction, seg.radius,
+                          seg.turn_end, seg.turn_start)
+                 for seg in reversed(segments))
+
+
 @dataclass(frozen=True)
 class Loop:
     """A closed piecewise path of cubics, starting and ending at
@@ -141,14 +173,7 @@ class Loop:
             raise SchemaError("loop is not closed")
 
     def reversed(self):
-        out = []
-        for seg in reversed(self.segments):
-            if isinstance(seg, Line):
-                out.append(Line(seg.end, seg.start))
-            else:
-                out.append(Arc(seg.center, seg.direction, seg.radius,
-                               seg.turn_end, seg.turn_start))
-        return Loop(self.basepoint, tuple(out))
+        return Loop(self.basepoint, _reversed_segments(self.segments))
 
     def to_json_dict(self):
         return {"basepoint": self.basepoint.to_json_dict(),
@@ -204,6 +229,15 @@ class MonodromyResult:
 # ---------------------------------------------------------------------------
 # lockstep continuation state
 
+def _row_distances(P, Q):
+    """Chordal distance between each projective row of P and the same
+    row of Q, from the 2x2 minors as in forms.proj_distance."""
+    i, j = [0, 0, 1], [1, 2, 2]
+    minors = P[:, i] * Q[:, j] - P[:, j] * Q[:, i]
+    return (np.linalg.norm(minors, axis=1)
+            / (np.linalg.norm(P, axis=1) * np.linalg.norm(Q, axis=1)))
+
+
 def _pairwise_min_distance(Z):
     """Minimum pairwise chordal distance among projective rows of Z."""
     norms = np.linalg.norm(Z, axis=1)
@@ -225,7 +259,8 @@ class _Tracker:
         self.Z = self.Z / self.Z[rows, self.chart][:, None]
         self.steps = 0
         self.max_residual = 0.0
-        self.min_separation = np.inf
+        self.separation = _pairwise_min_distance(self.Z)
+        self.min_separation = self.separation
 
     def predict(self, a, h, adot, ds):
         """Euler step of length ds from coefficients a, with Hessian h."""
@@ -241,6 +276,7 @@ class _Tracker:
         None."""
         x0, lift, system = flex_system(a, h, Zp, self.free)
         coeff_scale = np.array([np.abs(a).max(), np.abs(h).max()])
+        last = {}
 
         def scaled(x):
             # residuals relative to the coefficient size and |z|^3; the
@@ -248,22 +284,28 @@ class _Tracker:
             zs = np.maximum(np.abs(x).max(axis=1), 1.0) ** 3
             s = coeff_scale * zs[:, None]
             r, J = system(x)
-            return r / s, J / s[:, :, None]
+            last["x"], last["r"] = x.copy(), r / s
+            return last["r"], J / s[:, :, None]
 
         x, converged = newton.solve(scaled, x0, self.cfg.newton_max_iters,
                                     tol=self.cfg.newton_tol)
         if not converged.all():
             return None, None
-        # a row stopped by a vanishing step still has to meet the tolerance
-        res = np.abs(scaled(x)[0]).max()
+        # when every row stopped on the tolerance, solve's last residual
+        # was taken at x; a row stopped by a vanishing step moved after it
+        # and still has to meet the tolerance
+        r = last["r"] if np.array_equal(last["x"], x) else scaled(x)[0]
+        res = np.abs(r).max()
         if res > self.cfg.newton_tol:
             return None, None
         return lift(x), float(res)
 
-    def accept(self, Z, res):
+    def accept(self, Z, res, sep):
         self.Z = Z
         self.steps += 1
         self.max_residual = max(self.max_residual, res)
+        self.separation = sep
+        self.min_separation = min(self.min_separation, sep)
         # rehome points that drifted far from their pinned chart
         big = np.abs(self.Z).max(axis=1) > CHART_SWITCH
         if np.any(big):
@@ -277,8 +319,7 @@ class _Tracker:
         s = 0.0
         a = seg.value(s)
         h = hessian_coeffs(a)
-        cap = min(cfg.initial_step, seg.step_cap())
-        ds = cap
+        ds = min(cfg.initial_step, seg.step_cap())
         streak = 0
         while s < 1.0 - 1e-15:
             step = min(ds, 1.0 - s)
@@ -287,7 +328,8 @@ class _Tracker:
             h_next = hessian_coeffs(a_next)
             Z, res = self.correct(a_next, h_next, Zp)
             sep = _pairwise_min_distance(Z) if Z is not None else 0.0
-            if Z is None or sep <= cfg.proximity_guard:
+            if sep <= cfg.proximity_guard or _row_distances(Zp, Z).max() \
+                    > SEPARATION_GATE * min(self.separation, sep):
                 ds = step / 2.0
                 streak = 0
                 if ds < cfg.min_step:
@@ -298,11 +340,10 @@ class _Tracker:
             s += step
             # the corrector's end point starts the next step
             a, h = a_next, h_next
-            self.accept(Z, res)
-            self.min_separation = min(self.min_separation, sep)
+            self.accept(Z, res, sep)
             streak += 1
             if streak >= 4:
-                ds = min(2 * ds, cap)
+                ds = min(2 * ds, GROWTH_CEILING)
                 streak = 0
 
 
@@ -348,12 +389,10 @@ def track_loop(loop, labels=None, cfg=None):
     labels = _validate_basepoint(loop, labels)
     ordered = sorted(labels.points, key=lambda ip: ip.label)
     tracker = _Tracker(np.array([ip.point.coords for ip in ordered]), cfg)
-    start_sep = _pairwise_min_distance(tracker.Z)
-    if start_sep <= cfg.proximity_guard:
+    if tracker.separation <= cfg.proximity_guard:
         raise TrackingError(
             "basepoint not smooth: inflection points closer than the "
             "proximity guard")
-    tracker.min_separation = start_sep
     for seg in loop.segments:
         tracker.run_segment(seg)
     # row k of Z is the sheet that started at the k-th smallest label
@@ -379,22 +418,61 @@ def _pencil_roots(basepoint, direction):
     return rs, 12 - poly.degree
 
 
-def _bypass_segments(basepoint, direction, s_star, radius):
-    delta = direction.coeffs
-    toward_base = -s_star / abs(s_star)
-    s_stop = s_star + radius * toward_base
-    stop_form = CubicForm(basepoint.coeffs + s_stop * delta)
-    center = CubicForm(basepoint.coeffs + s_star * delta)
-    arc_dir = CubicForm(toward_base * delta)
-    return (Line(basepoint, stop_form),
-            Arc(center, arc_dir, radius, 0.0, 1.0),
-            Line(stop_form, basepoint))
+def _bypass_segments(basepoint, direction, s_star, radius, others):
+    """Out from s = 0 toward the crossing s_star of the line basepoint +
+    s*direction, once around it on a circle of the given radius, and back
+    along the same route.
+
+    The outbound segment detours around each other crossing o it passes
+    closer than c = min(radius, DETOUR_SHARE * distance from o to its
+    nearest other crossing), on an arc of radius c on the side the
+    straight segment passes o (the sign of Im(o / s_star)).  The route is
+    then homotopic to the straight one.  On an exact tie the arc keeps o
+    on its right, as the (angle, |s|) order counts the nearer of two
+    crossings on one ray as the earlier one."""
+    e = s_star / abs(s_star)
+    s_stop = s_star - radius * e
+    length = abs(s_stop)
+    crossings = np.append(others, s_star)
+    detours = []
+    for o in others:
+        c = min(radius, DETOUR_SHARE * np.sort(np.abs(crossings - o))[1])
+        w = o / e                   # the segment runs from 0 to length
+        if abs(w.imag) >= c:
+            continue
+        half = np.sqrt(c * c - w.imag * w.imag)
+        if w.real + half <= 0 or w.real - half >= length:
+            continue
+        if w.real - half <= 0 or w.real + half >= length:
+            raise CrossingError(
+                "crossings too close: a detour around another crossing "
+                "would reach an end of the bypass segment")
+        detours.append((w.real - half, o, c, w.imag))
+    detours.sort(key=lambda d: d[0])
+
+    def form(s):
+        return CubicForm(basepoint.coeffs + s * direction.coeffs)
+
+    arc_dir = CubicForm(e * direction.coeffs)
+    outbound = []
+    here = basepoint
+    for _, o, c, offset in detours:
+        phi = np.arcsin(abs(offset) / c) / (2 * np.pi)
+        # o on the left of the segment: pass below it, counterclockwise
+        turns = (-0.5 + phi, -phi) if offset > 0 else (0.5 - phi, phi)
+        arc = Arc(form(o), arc_dir, c, *turns)
+        outbound += [Line(here, CubicForm(arc.value(0.0))), arc]
+        here = CubicForm(arc.value(1.0))
+    outbound.append(Line(here, form(s_stop)))
+    circle = Arc(form(s_star), CubicForm(-arc_dir.coeffs), radius, 0.0, 1.0)
+    return (*outbound, circle, *_reversed_segments(outbound))
 
 
 def bypass_loop(basepoint, target, radius):
-    """The standard bypass: straight toward the discriminant crossing
-    nearest the target, a full circle of the given parameter radius
-    around it, and straight back."""
+    """The standard bypass: toward the discriminant crossing nearest the
+    target, a full circle of the given parameter radius around it, and
+    back the same way, detouring around other crossings near the
+    straight segment (_bypass_segments)."""
     if proj_distance(basepoint.coeffs, target.coeffs) < 1e-10:
         raise CrossingError("no crossing found: target coincides with "
                             "the basepoint")
@@ -418,7 +496,7 @@ def bypass_loop(basepoint, target, radius):
             "crossings too close: the crossing sits within the bypass "
             "radius of the basepoint")
     return Loop(basepoint, _bypass_segments(basepoint, direction,
-                                            s_star, radius))
+                                            s_star, radius, others))
 
 
 def line_bypass_permutations(basepoint, direction, labels=None, cfg=None,
@@ -430,6 +508,11 @@ def line_bypass_permutations(basepoint, direction, labels=None, cfg=None,
     if inf_mult > 0 or len(rs.roots) == 0:
         raise CrossingError(
             "line has a crossing at infinite parameter; pick another")
+    if np.any(rs.multiplicities > 1):
+        # one circle around a cluster may pass between its crossings
+        raise CrossingError(
+            "crossings too close: two crossings of the line fall within "
+            "the root clustering radius; pick another")
     roots = np.asarray(rs.roots, dtype=complex)
     if radius is None:
         gaps = [abs(a - b) for i, a in enumerate(roots)
@@ -440,10 +523,48 @@ def line_bypass_permutations(basepoint, direction, labels=None, cfg=None,
                    key=lambda i: (np.angle(roots[i]), abs(roots[i])))
     perms = []
     for k in order:
-        loop = Loop(basepoint, _bypass_segments(basepoint, direction,
-                                                complex(roots[k]), radius))
+        loop = Loop(basepoint, _bypass_segments(
+            basepoint, direction, complex(roots[k]), radius,
+            np.delete(roots, k)))
         perms.append(track_loop(loop, labels=labels, cfg=cfg).perm)
     return perms
+
+
+def global_line_outcomes(basepoint, line_count, seed, labels=None,
+                         cfg=None):
+    """Track the bypasses of `line_count` random complex lines through
+    the basepoint, drawn from default_rng(seed).  Returns, per line, the
+    list of its bypass permutations in path order, or the typed error
+    that stopped it."""
+    rng = np.random.default_rng(seed)
+    if labels is None:
+        labels = _positional_labels(inflection_points(basepoint))
+    outcomes = []
+    for _ in range(line_count):
+        delta = CubicForm(rng.standard_normal(10)
+                          + 1j * rng.standard_normal(10))
+        try:
+            outcomes.append(line_bypass_permutations(basepoint, delta,
+                                                     labels=labels, cfg=cfg))
+        except (NumericalError, DegenerateInputError) as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def group_of_lines(outcomes):
+    """The group generated by the permutations of the lines of
+    global_line_outcomes that were tracked in full.  Failed lines are
+    skipped with a warning; at least one line must succeed."""
+    perms = []
+    for k, out in enumerate(outcomes):
+        if isinstance(out, Exception):
+            logger.warning("line %d skipped: %s", k, out)
+        else:
+            perms.extend(out)
+    if not perms:
+        raise TrackingError(
+            "global monodromy failed: no line was tracked in full")
+    return PermGroup(perms)
 
 
 def generate_global_monodromy(basepoint, line_count, seed, labels=None,
@@ -452,24 +573,8 @@ def generate_global_monodromy(basepoint, line_count, seed, labels=None,
     crossings of `line_count` random complex lines through the
     basepoint.  Failing lines are skipped with a warning; at least one
     line must succeed in full."""
-    rng = np.random.default_rng(seed)
-    if labels is None:
-        labels = _positional_labels(inflection_points(basepoint))
-    perms = []
-    successes = 0
-    for k in range(line_count):
-        delta = CubicForm(rng.standard_normal(10)
-                          + 1j * rng.standard_normal(10))
-        try:
-            perms.extend(line_bypass_permutations(basepoint, delta,
-                                                  labels=labels, cfg=cfg))
-            successes += 1
-        except (NumericalError, DegenerateInputError) as exc:
-            logger.warning("line %d skipped: %s", k, exc)
-    if successes == 0:
-        raise TrackingError(
-            "global monodromy failed: no line was tracked in full")
-    return PermGroup(perms)
+    return group_of_lines(global_line_outcomes(basepoint, line_count, seed,
+                                               labels, cfg))
 
 
 def local_monodromy(basepoint_near, stratum_point, radius, probe_count,
@@ -488,20 +593,22 @@ def local_monodromy(basepoint_near, stratum_point, radius, probe_count,
         delta = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         direction = CubicForm(delta / np.abs(delta).max() * base_scale)
         rs, _inf = _pencil_roots(basepoint_near, direction)
-        local = [complex(r) for r in rs.roots
+        roots = np.asarray(rs.roots, dtype=complex)
+        local = [k for k, r in enumerate(roots)
                  if proj_distance(basepoint_near.coeffs
                                   + r * direction.coeffs, stratum)
                  <= 3 * radius]
         if not local:
             continue
-        gaps = [abs(a - b) for i, a in enumerate(rs.roots)
-                for b in list(rs.roots)[i + 1:]]
+        gaps = [abs(a - b) for i, a in enumerate(roots)
+                for b in roots[i + 1:]]
         r_loc = min(min(gaps, default=np.inf) / 3.2,
-                    min(abs(s) for s in local) / 3.2)
-        for s_star in sorted(local, key=lambda s: (np.angle(s), abs(s))):
-            loop = Loop(basepoint_near,
-                        _bypass_segments(basepoint_near, direction,
-                                         s_star, r_loc))
+                    min(abs(roots[k]) for k in local) / 3.2)
+        for k in sorted(local, key=lambda k: (np.angle(roots[k]),
+                                              abs(roots[k]))):
+            loop = Loop(basepoint_near, _bypass_segments(
+                basepoint_near, direction, complex(roots[k]), r_loc,
+                np.delete(roots, k)))
             perms.append(track_loop(loop, labels=labels, cfg=cfg).perm)
     if not perms:
         raise TrackingError(

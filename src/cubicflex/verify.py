@@ -9,6 +9,7 @@ the configuration that produced it, so a run can be replayed.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import asdict, dataclass, field
@@ -25,9 +26,8 @@ from .perms import (G0, G1, G2, G3, G4, Perm, PermGroup, closure,
                     conjugate_in_s9, coset_action, hesse_group,
                     local_cusp_group)
 from .strata import StratumLabel, classify, net_cusp_members, pencil_crossings
-from .track import (Loop, TrackingConfig, bypass_loop, circle_loop,
-                    generate_global_monodromy, line_bypass_permutations,
-                    local_monodromy, track_loop)
+from .track import (TrackingConfig, circle_loop, global_line_outcomes,
+                    group_of_lines, local_monodromy, track_loop)
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -229,19 +229,23 @@ def suite_global(cfg):
     tc = tracking_config(cfg)
     f = fermat_cubic()
 
+    @functools.cache
+    def lines():
+        # each line is tracked once and feeds both checks
+        return global_line_outcomes(f, cfg["global_lines"],
+                                    seed=cfg["seed"] + 7, cfg=tc)
+
     def group_facts():
-        G = generate_global_monodromy(f, cfg["global_lines"],
-                                      seed=cfg["seed"] + 7, cfg=tc)
+        G = group_of_lines(lines())
         return (G.order, conjugate_in_s9(G, hesse_group()) is not None)
     r.check("global_group", (216, True), group_facts)
 
     def line_products():
-        rng = np.random.default_rng(cfg["seed"] + 7)
         outcomes = []
-        for _ in range(cfg["global_lines"]):
-            delta = CubicForm(rng.standard_normal(10)
-                              + 1j * rng.standard_normal(10))
-            perms = line_bypass_permutations(f, delta, cfg=tc)
+        for perms in lines():
+            if isinstance(perms, Exception):
+                outcomes.append(f"error: {perms}")
+                continue
             prod = Perm.identity()
             for p in perms:
                 prod = prod * p

@@ -33,6 +33,9 @@ def run_demo(name):
 def test_demo_exits_cleanly(name):
     done = run_demo(name)
     assert done.returncode == 0, done.stderr
+    if name == "01_inflection_points":
+        # each of the nine Fermat flexes matches the classical table
+        assert done.stdout.count("  ->  < 1e-12\n") == 9
     if name == "05_monodromy_group":
         # the lexicographically first conjugator onto the Hessian group
         assert "(relabelling (5,7,8)(6,9))" in done.stdout

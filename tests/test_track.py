@@ -213,7 +213,7 @@ class TestCoordinateLoops:
         assert counts["hessian"] <= (counts["attempts"] + len(loop.segments)
                                      + 1)
         assert res.perm == G2
-        assert res.steps_taken == 100
+        assert res.steps_taken == 21
 
     def test_cusp_circle_cycle_type(self):
         loop = circle_loop(cusp_family(0.0), unit_coeff(0, 0), DELTA)
@@ -272,8 +272,60 @@ class TestBypass:
     def test_bypass_loop_shape(self):
         loop = bypass_loop(fermat_cubic(), nodal_target(), 0.02)
         kinds = [type(s).__name__ for s in loop.segments]
-        assert kinds == ["Line", "Arc", "Line"]
-        assert loop.segments[1].radius == 0.02
+        # out past two other crossings on detour arcs, once around the
+        # target, and back the same way
+        assert kinds == ["Line", "Arc"] * 5 + ["Line"]
+        circle = loop.segments[5]
+        assert circle.radius == 0.02
+        assert (circle.turn_start, circle.turn_end) == (0.0, 1.0)
+        back = track._reversed_segments(loop.segments[6:])
+        assert ([seg.to_json_dict() for seg in back]
+                == [seg.to_json_dict() for seg in loop.segments[:5]])
+
+    def test_route_clears_other_crossings(self):
+        base, target = fermat_cubic(), nodal_target()
+        delta = target.coeffs - base.coeffs
+        rs, _ = track._pencil_roots(base, CubicForm(delta))
+        roots = np.asarray(rs.roots)
+        star = np.argmin(np.abs(roots - 1.0))
+        loop = bypass_loop(base, target, 0.02)
+        ts = np.linspace(0.0, 1.0, 2001)
+        route = np.concatenate([
+            (np.array([seg.value(t) for t in ts]) - base.coeffs) @ delta.conj()
+            for seg in loop.segments]) / np.vdot(delta, delta)
+        for k, o in enumerate(roots):
+            if k == star:
+                continue
+            c = min(0.02, track.DETOUR_SHARE
+                    * np.sort(np.abs(roots - o))[1])
+            assert np.abs(route - o).min() >= c * (1 - 1e-9)
+        res = track_loop(loop)
+        assert res.min_pairwise_separation > 0.1
+
+    def test_detour_keeps_the_side_of_the_straight_segment(self):
+        base, direction = fermat_cubic(), triangle_cubic()
+
+        def detour_midpoint(o):
+            segs = track._bypass_segments(base, direction, 1.0, 0.02,
+                                          np.array([o]))
+            v = segs[1].value(0.5) - base.coeffs
+            return np.vdot(direction.coeffs, v) / np.vdot(direction.coeffs,
+                                                          direction.coeffs)
+
+        # o above the segment: pass below it, and the reverse
+        assert detour_midpoint(0.5 + 1e-3j).imag < 0
+        assert detour_midpoint(0.5 - 1e-3j).imag > 0
+        # on the segment itself: the (angle, |s|) order counts the nearer
+        # crossing as the earlier one, as if o lay just clockwise of the
+        # ray, so the route keeps o on its right
+        assert detour_midpoint(0.5 + 0j).imag > 0
+
+    def test_detour_reaching_an_end_raises(self):
+        base, direction = fermat_cubic(), triangle_cubic()
+        for o in (0.005j, 0.97 + 0.001j):
+            with pytest.raises(CrossingError, match="too close"):
+                track._bypass_segments(base, direction, 1.0, 0.02,
+                                       np.array([o]))
 
     def test_same_target_raises(self):
         f = fermat_cubic()
@@ -316,6 +368,30 @@ class TestBypass:
 
 
 class TestGlobalMonodromy:
+    def test_line_past_near_crossings(self):
+        # the straight bypass segments of this line pass within 0.06 and
+        # 0.01 bypass radii of other crossings, and tracked along them one
+        # bypass came back (6,1,1,1)
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            delta = CubicForm(rng.standard_normal(10)
+                              + 1j * rng.standard_normal(10))
+        perms = line_bypass_permutations(fermat_cubic(), delta)
+        assert [p.cycle_type() for p in perms] == [(3, 3, 1, 1, 1)] * 12
+        prod = Perm.identity()
+        for p in perms:
+            prod = prod * p
+        assert prod == Perm.identity()
+
+    def test_line_with_clustered_crossings_raises(self):
+        # two crossings of this line fall within the 2e-3 clustering
+        # radius; one circle around both came back (6,2,1)
+        rng = np.random.default_rng(90)
+        delta = CubicForm(rng.standard_normal(10)
+                          + 1j * rng.standard_normal(10))
+        with pytest.raises(CrossingError, match="clustering radius"):
+            line_bypass_permutations(fermat_cubic(), delta)
+
     def test_line_product_is_identity(self):
         rng = np.random.default_rng(7)
         delta = CubicForm(rng.standard_normal(10)
@@ -357,3 +433,41 @@ class TestLocalMonodromy:
         assert G.order == 24
         assert G.orbit_sizes() == (8, 1)
         assert conjugate_in_s9(G, local_cusp_group()) is not None
+
+
+class TestStepGrowth:
+    def test_same_permutations_as_fixed_step_cap(self, monkeypatch):
+        # circles around one crossing, off centre, and bypasses on two
+        # random lines through the Fermat cubic; the reference run caps
+        # every step at initial_step, as the tracker did before step
+        # growth
+        rng = np.random.default_rng(2024)
+        base = fermat_cubic()
+        loops = []
+        for _ in range(2):
+            delta = CubicForm(rng.standard_normal(10)
+                              + 1j * rng.standard_normal(10))
+            rs, _ = track._pencil_roots(base, delta)
+            roots = np.asarray(rs.roots)
+            gaps = np.abs(roots[:, None] - roots[None, :])
+            np.fill_diagonal(gaps, np.inf)
+            for k in rng.choice(len(roots), 3, replace=False):
+                rho = 0.3 * gaps[k].min()
+                centre = roots[k] + 0.5 * rho * np.exp(2j * np.pi
+                                                       * rng.random())
+                loops.append(circle_loop(
+                    CubicForm(base.coeffs + centre * delta.coeffs), delta,
+                    rho))
+            radius = min(gaps.min() / 3.2, np.abs(roots).min() / 3.2, 0.05)
+            for k in rng.choice(len(roots), 2, replace=False):
+                loops.append(Loop(base, track._bypass_segments(
+                    base, delta, complex(roots[k]), radius,
+                    np.delete(roots, k))))
+        grown = [track_loop(loop) for loop in loops]
+        monkeypatch.setattr(track, "GROWTH_CEILING",
+                            TrackingConfig().initial_step)
+        fixed = [track_loop(loop) for loop in loops]
+        assert [r.perm for r in grown] == [r.perm for r in fixed]
+        assert all(r.perm.cycle_type() == (3, 3, 1, 1, 1) for r in grown)
+        assert sum(r.steps_taken for r in grown) \
+            < sum(r.steps_taken for r in fixed)
