@@ -204,6 +204,21 @@ def _conic_candidates(conics, w):
     return z / z[np.arange(len(z)), np.argmax(np.abs(z), axis=1), None]
 
 
+def _singular_candidates(c):
+    """The common points of the first usable pair of fixed combinations
+    of the partial conics, as rows with largest coordinate 1, ordered by
+    their gradient residual, and those residuals."""
+    for w in _CONIC_FRAMES:
+        z = _conic_candidates(third_partials(c), w)
+        if z is not None:
+            res = np.abs(eval_gradient(c, z)).max(axis=1)
+            order = np.argsort(res)
+            return z[order], res[order]
+    raise NumericalError(
+        "no fixed pair of partial conics spans a pencil with a usable "
+        "line pair")
+
+
 def _cusp_jet(cs, a, b):
     """A function of the rows x = (z_a, z_b, p_1, ...) for the member
     cs[0] + sum_k p_k cs[k], the third coordinate pinned to 1.
@@ -294,19 +309,10 @@ def singular_points(f):
     cone = _cone_analysis(c)
     if cone is not None:
         return cone
-    for w in _CONIC_FRAMES:
-        z = _conic_candidates(third_partials(c), w)
-        if z is not None:
-            break
-    else:
-        raise NumericalError(
-            "no fixed pair of partial conics spans a pencil with a usable "
-            "line pair")
-    # the rows have largest coordinate 1.  A cusp or tacnode candidate can
-    # be off by ~1e-5, so a loose gate keeps the near-singular ones, best
-    # first; the strict gate comes after pinning
-    res = np.abs(eval_gradient(c, z)).max(axis=1)
-    z = z[np.argsort(res)][np.sort(res) < 1e-6]
+    # a cusp or tacnode candidate can be off by ~1e-5, so a loose gate
+    # keeps the near-singular ones; the strict gate comes after pinning
+    z, res = _singular_candidates(c)
+    z = z[res < 1e-6]
     pts = []
     for p in z[greedy_distinct(z, 1e-3)]:
         kind = _local_type(c, ProjPoint(p))

@@ -5,11 +5,10 @@ classify() places a cubic into one of the nine equisingular classes
 triple line) with a certificate tying the component structure to the
 observed singular points.
 
-pencil_crossings() locates every parameter on a pencil where the member
-degenerates, by a multistart Newton on the gradient system in (point,
-parameter), and cross-checks the result against an interpolated
-degree-12 discriminant polynomial whose root multiplicities are the
-arbiter of crossing multiplicity.
+pencil_crossings() refines each root of an interpolated degree-12
+discriminant polynomial of a pencil by Newton on the gradient system in
+(point, parameter).  The roots that reach a crossing are its
+multiplicity, which the class of its member must bear out.
 
 net_cusp_members() finds the cuspidal members of a two-parameter net by
 a four-equation multistart Newton.
@@ -33,10 +32,9 @@ from .forms import (EXP2, MONOMIAL_INDEX, CubicForm, ProjPoint,
                     gradient_coeffs, greedy_distinct, proj_distance,
                     second_partials_matrix, substitute_linear)
 from .locus import (SingularSet, _binary_quadratic_roots, _cusp_jet,
-                    local_expansion, singular_points)
-from .roots import RootSet, UniPoly, all_roots
+                    _singular_candidates, local_expansion, singular_points)
+from .roots import UniPoly, all_roots
 
-CROSSING_SEED = 20240918
 NET_SEED = 20240919
 DISCRIMINANT_SAMPLES = 25
 
@@ -196,15 +194,8 @@ def classify(f):
 # ---------------------------------------------------------------------------
 # numeric discriminant via Macaulay elimination of the gradient quadrics
 
-def _deg4_monomials():
-    out = []
-    for i in range(4, -1, -1):
-        for j in range(4 - i, -1, -1):
-            out.append((i, j, 4 - i - j))
-    return out
-
-
-MON4 = _deg4_monomials()
+MON4 = [(i, j, 4 - i - j) for i in range(4, -1, -1)
+        for j in range(4 - i, -1, -1)]
 MON4_INDEX = {m: n for n, m in enumerate(MON4)}
 
 
@@ -250,9 +241,7 @@ def discriminant_value(f):
     det15, det3 = _macaulay_dets(gradient_coeffs(fn.coeffs))
     if abs(det3) < 1e-140:
         # fall back to a unitary change of coordinates
-        rng = np.random.default_rng(5)
-        U, _ = np.linalg.qr(rng.standard_normal((3, 3))
-                            + 1j * rng.standard_normal((3, 3)))
+        U = _SAMPLING_FRAMES[1]
         det15, det3 = _macaulay_dets(gradient_coeffs(fn.transform(U).coeffs))
     return det15 / det3
 
@@ -274,12 +263,9 @@ def _pencil_discriminant_samples(c0, c1, radius):
 
 def _fixed_unitaries():
     rng = np.random.default_rng(5)
-    out = [None]
-    for _ in range(2):
-        U, _r = np.linalg.qr(rng.standard_normal((3, 3))
-                             + 1j * rng.standard_normal((3, 3)))
-        out.append(U)
-    return out
+    return [None] + [np.linalg.qr(rng.standard_normal((3, 3))
+                                  + 1j * rng.standard_normal((3, 3)))[0]
+                     for _ in range(2)]
 
 
 _SAMPLING_FRAMES = _fixed_unitaries()
@@ -326,31 +312,12 @@ def pencil_discriminant_fit(pencil, chart=0):
 
 
 # ---------------------------------------------------------------------------
-# crossing search on a pencil
+# crossings of a pencil
 
-def _crossing_newton(pencil, pchart, zchart, starts, iters=80):
-    """Multistart Newton for {grad F(t, z) = 0} in (z_free, u)."""
-    c0, c1 = _chart_pair(pencil, pchart)
-    free = [v for v in range(3) if v != zchart]
-
-    def system(x):
-        z, u = chart_points(x, free), x[:, 2]
-        M0 = second_partials_matrix(c0, z)
-        M1 = second_partials_matrix(c1, z)
-        M = M0 + u[:, None, None] * M1
-        # gradients by Euler's relation: grad f = M z / 2 for a cubic
-        g1 = 0.5 * (M1 @ z[:, :, None])
-        J = np.concatenate([M[:, :, free], g1], axis=2)
-        return 0.5 * (M @ z[:, :, None])[:, :, 0], J
-
-    x, _ = newton.solve(system, starts, iters)
-    z, u = chart_points(x, free), x[:, 2]
-    G = eval_gradient(c0, z) + u[:, None] * eval_gradient(c1, z)
-    res = np.abs(G).max(axis=1)
-    scale = np.maximum(np.abs(z).max(axis=1) ** 2, 1.0) * (1 + np.abs(u))
-    good = np.isfinite(res) & (res < 1e-9 * scale)
-    good &= np.abs(u) < 1e7
-    return z[good], u[good]
+# the total Milnor number of a member of each stratum: the least
+# multiplicity of a crossing there
+MILNOR = {StratumLabel.B1: 1, StratumLabel.B21: 2, StratumLabel.B22: 2,
+          StratumLabel.B31: 3, StratumLabel.B32: 3, StratumLabel.B4: 4}
 
 
 @dataclass(frozen=True)
@@ -370,7 +337,6 @@ class Crossing:
 
 @dataclass(frozen=True)
 class PencilCrossings:
-    parameters: RootSet          # fitted discriminant roots, chart t2/t1
     infinite_multiplicity: int   # multiplicity carried by t = (0, 1)
     crossings: tuple
 
@@ -381,20 +347,48 @@ class PencilCrossings:
         return tuple(c.label for c in self.crossings)
 
 
-def _crossing_starts(count, seed):
-    rng = np.random.default_rng(seed)
-    s = rng.standard_normal((count, 3)) + 1j * rng.standard_normal((count, 3))
-    return s * 1.4
+def _crossing_newton(pencil, chart, r, iters=80):
+    """Newton on {grad F(u, z) = 0} in (z_free, u) from the fitted root
+    u = r of a chart and the best singular-point candidate of the member
+    there.  Returns the crossing's parameter (t1, t2) and point."""
+    c0, c1 = _chart_pair(pencil, chart)
+    z0 = _singular_candidates(c0 + r * c1)[0][0]
+    free = [v for v in range(3) if v != np.argmax(np.abs(z0))]
+
+    def system(x):
+        z, u = chart_points(x, free), x[:, 2]
+        M1 = second_partials_matrix(c1, z)
+        M = second_partials_matrix(c0, z) + u[:, None, None] * M1
+        # gradients by Euler's relation: grad f = M z / 2 for a cubic
+        g1 = 0.5 * (M1 @ z[:, :, None])
+        J = np.concatenate([M[:, :, free], g1], axis=2)
+        return 0.5 * (M @ z[:, :, None])[:, :, 0], J
+
+    x, _ = newton.solve(system, [[*z0[free], r]], iters)
+    z, u = chart_points(x, free)[0], x[0, 2]
+    res = np.abs(eval_gradient(c0, z) + u * eval_gradient(c1, z)).max()
+    t, t_fit = (np.array([1, u]), np.array([1, r])) if chart == 0 else (
+        np.array([u, 1]), np.array([r, 1]))
+    # a fitted root is good to about 1e-3 even where a double root splits
+    if not res < 1e-9 * max(np.abs(z).max() ** 2, 1) * (1 + abs(u)) or (
+            proj_distance(t, t_fit) > 0.02):
+        raise CrossingError(
+            f"Newton from the fitted discriminant root {t_fit} did not "
+            "converge to a crossing near it")
+    return t, z
 
 
-def pencil_crossings(pencil, starts_per_chart=200, seed=CROSSING_SEED,
-                     cluster_radius=2e-3):
+def pencil_crossings(pencil):
     """All parameters where a pencil member is singular, classified.
 
-    Crossing parameters come from a multistart Newton on the gradient
-    system in (point, parameter); multiplicities come from the root
-    structure of the interpolated discriminant polynomial.  The two
-    methods must agree, else "count mismatch".
+    Every root of the interpolated degree-12 discriminant is a crossing
+    parameter: those with |u| <= 1 from the chart f0 + u f1, the rest from
+    the chart v f0 + f1.  A singular f1 is the crossing at infinity, with
+    the degree drop of the first chart as its multiplicity.  Each other
+    root is refined by Newton on the gradient system in (point,
+    parameter), roots that reach the same crossing count towards its
+    multiplicity, and each crossing's class must bear that multiplicity
+    out; else CrossingError.
     """
     fit = pencil_discriminant_fit(pencil, chart=0)
     scale0 = max(pencil.f0.scale(), pencil.f1.scale()) ** 12
@@ -402,86 +396,83 @@ def pencil_crossings(pencil, starts_per_chart=200, seed=CROSSING_SEED,
         raise CrossingError("pencil inside discriminant: the interpolated "
                             "discriminant vanishes identically")
     poly = UniPoly(fit, rel=1e-8)
-    rs = all_roots(poly, cluster_radius=cluster_radius)
-    inf_mult = 12 - poly.degree
-
-    # Newton search for witnesses
-    hits, points = [], []
-    starts = _crossing_starts(starts_per_chart, seed)
-    for pchart in (0, 1):
-        for zchart in range(3):
-            z, u = _crossing_newton(pencil, pchart, zchart, starts)
-            for zi, ui in zip(z, u):
-                hits.append([1.0, ui] if pchart == 0 else [ui, 1.0])
-                points.append(zi)
-    hits = np.array(hits, dtype=complex)
-    dedup = [(hits[i], ProjPoint(points[i]))
-             for i in greedy_distinct(hits, 1e-6)]
-
-    # match Newton crossings against fitted roots: each witness belongs to
-    # the fitted root nearest to it
-    fitted = [(np.array([1.0, r]), int(m))
-              for r, m in zip(rs.roots, rs.multiplicities)]
-    if inf_mult > 0:
-        fitted.append((np.array([0.0, 1.0]), inf_mult))
-    groups = [[] for _ in fitted]
-    extra = []
-    for t, w in dedup:
-        d = proj_distance(t, [t_fit for t_fit, _ in fitted])
-        k = int(np.argmin(d))
-        if d[k] < 10 * cluster_radius:
-            groups[k].append((d[k], t, w))
-        else:
-            extra.append(t)
+    roots0 = all_roots(poly, cluster_radius=0.0).roots
+    roots0 = roots0[np.abs(roots0) <= 1]
+    roots1 = all_roots(UniPoly(pencil_discriminant_fit(pencil, chart=1),
+                               rel=1e-8), cluster_radius=0.0).roots
+    roots1 = roots1[np.argsort(np.abs(roots1))][:12 - len(roots0)]
     crossings = []
-    for (t_fit, m), group in zip(fitted, groups):
-        if not group:
-            raise CrossingError(
-                "count mismatch: interpolated discriminant root at "
-                f"{t_fit} has no Newton witness")
-        group.sort(key=lambda g: g[0])
-        _, t, w = group[0]
-        label, _ = classify(pencil.member(t))
-        if label is StratumLabel.SMOOTH:
-            raise NumericalError(f"crossing at {t} classifies as smooth")
-        # a root of multiplicity m with m distinct nodal witnesses is m
-        # simple crossings closer together than the fit could separate
-        if 1 < m == len(group) and label is StratumLabel.B1 and all(
-                _is_nodal(pencil.member(t2)) for _, t2, _ in group[1:]):
-            crossings.extend(_crossing(pencil, t2, 1, label, w2)
-                             for _, t2, w2 in group)
-        else:
-            crossings.append(_crossing(pencil, t, m, label, w))
-    if extra:
+    at_infinity = classify(pencil.f1)
+    if at_infinity[0] is not StratumLabel.SMOOTH:
+        # the degree drop is the multiplicity at infinity, where the
+        # smallest roots of the second chart sit
+        m = 12 - poly.degree
+        roots1 = roots1[m:]
+        crossings.append(_crossing(pencil, 1, [0.0, 1.0], m,
+                                   classified=at_infinity))
+    refined = [(chart, *_crossing_newton(pencil, chart, r))
+               for chart, roots in ((0, roots0), (1, roots1)) for r in roots]
+    ts = np.array([t for _, t, _ in refined]).reshape(-1, 2)
+    kept = greedy_distinct(ts, 1e-6)
+    owner = [int(np.argmin(proj_distance(t, ts[kept]))) for t in ts]
+    for k, m in zip(kept, np.bincount(owner, minlength=len(kept))):
+        chart, t, z = refined[k]
+        crossings.append(_crossing(pencil, chart, t, int(m), near=z))
+    total = sum(c.multiplicity for c in crossings)
+    if total != 12:
         raise CrossingError(
-            f"count mismatch: Newton found crossings {extra} outside the "
-            "interpolated discriminant roots")
-    if sum(c.multiplicity for c in crossings) != 12:
-        raise CrossingError(
-            "count mismatch: crossing multiplicities sum to "
-            f"{sum(c.multiplicity for c in crossings)}, not 12")
+            f"count mismatch: crossing multiplicities sum to {total}, not 12")
     crossings.sort(key=lambda c: (c.parameter[0] == 0.0,
                                   np.round(c.parameter[1].real, 9),
                                   np.round(c.parameter[1].imag, 9)))
-    return PencilCrossings(parameters=rs, infinite_multiplicity=inf_mult,
+    infinite = sum(c.multiplicity for c in crossings if c.parameter[0] == 0)
+    return PencilCrossings(infinite_multiplicity=infinite,
                            crossings=tuple(crossings))
 
 
-def _crossing(pencil, t, multiplicity, label, witness):
+def _crossing(pencil, chart, t, m, near=None, classified=None):
+    """The crossing at the parameter t that m fitted roots on a chart
+    reach.  Its member is classified once (or `classified` is its class),
+    and the class must bear m out, else CrossingError: m is at least the
+    Milnor number mu, and above it only where the pencil is tangent to
+    the discriminant.  The witness is the certified singular point
+    nearest to `near`, or a point of the singular line."""
     # canonical parameter: (1, u) on the finite chart, (0, 1) at infinity
-    if abs(t[0]) > 1e-9 * abs(t[1]):
-        t_norm = np.array([1.0, t[1] / t[0]])
+    finite = abs(t[0]) > 1e-9 * abs(t[1])
+    t = np.array([1.0, t[1] / t[0]] if finite else [0.0, 1.0])
+    member = pencil.member(t)
+    label, cert = classified or classify(member)
+    if label is StratumLabel.SMOOTH:
+        raise CrossingError("count mismatch: the member at the crossing "
+                            f"{t} classifies as smooth")
+    line = cert.singular.singular_line
+    if line is not None:
+        witness = ProjPoint(np.linalg.svd(line[None])[2][-1].conj())
     else:
-        t_norm = np.array([0.0, 1.0])
-    return Crossing(parameter=t_norm, multiplicity=multiplicity, label=label,
-                    member=pencil.member(t_norm), witness=witness)
-
-
-def _is_nodal(member):
-    try:
-        return classify(member)[0] is StratumLabel.B1
-    except NumericalError:
-        return False
+        witness = min((sp.point for sp in cert.singular.points),
+                      key=lambda q: 0.0 if near is None
+                      else proj_distance(q.coords, near))
+    mu = MILNOR.get(label, m)
+    if m < mu:
+        raise CrossingError(
+            f"count mismatch: a {label} member at {t} needs multiplicity "
+            f"at least {mu}, but {m} fitted roots reach it")
+    if m > mu:
+        # the tangent cone of the discriminant at the member is the union
+        # of the hyperplanes g(p) = 0 of its singular points p, counted
+        # with their Milnor numbers (Teissier), so more roots than mu meet
+        # there only where the direction cubic vanishes at some p
+        direction = _chart_pair(pencil, chart)[1]
+        value = min(abs(eval_coeffs(direction / np.abs(direction).max(),
+                                    sp.point.coords))
+                    for sp in cert.singular.points)
+        if value > 1e-6:
+            raise CrossingError(
+                f"count mismatch: {m} fitted roots reach the {label} member "
+                f"at {t}, but the pencil is not tangent to the "
+                f"discriminant there ({value:.1e})")
+    return Crossing(parameter=t, multiplicity=m, label=label, member=member,
+                    witness=witness)
 
 
 # ---------------------------------------------------------------------------

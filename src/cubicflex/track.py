@@ -515,14 +515,25 @@ def line_bypass_permutations(basepoint, direction, labels=None, cfg=None,
             "the root clustering radius; pick another")
     roots = np.asarray(rs.roots, dtype=complex)
     if radius is None:
-        gaps = [abs(a - b) for i, a in enumerate(roots)
-                for b in roots[i + 1:]]
-        radius = min(min(gaps, default=np.inf) / 3.2,
-                     np.abs(roots).min() / 3.2, 0.05)
-    order = sorted(range(len(roots)),
-                   key=lambda i: (np.angle(roots[i]), abs(roots[i])))
+        radius = min(_lasso_radius(roots, roots), 0.05)
+    return _lasso_permutations(basepoint, direction, roots,
+                               range(len(roots)), radius, labels, cfg)
+
+
+def _lasso_radius(roots, targets):
+    """The least distance between two crossing parameters, or from a
+    target crossing to the basepoint, over 3.2."""
+    gaps = [abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1:]]
+    return min(min(gaps, default=np.inf), np.abs(targets).min()) / 3.2
+
+
+def _lasso_permutations(basepoint, direction, roots, targets, radius,
+                        labels, cfg):
+    """The permutations of the bypasses of the crossings roots[k], k in
+    targets, in path order: by argument, then modulus."""
     perms = []
-    for k in order:
+    for k in sorted(targets, key=lambda k: (np.angle(roots[k]),
+                                            abs(roots[k]))):
         loop = Loop(basepoint, _bypass_segments(
             basepoint, direction, complex(roots[k]), radius,
             np.delete(roots, k)))
@@ -600,16 +611,9 @@ def local_monodromy(basepoint_near, stratum_point, radius, probe_count,
                  <= 3 * radius]
         if not local:
             continue
-        gaps = [abs(a - b) for i, a in enumerate(roots)
-                for b in roots[i + 1:]]
-        r_loc = min(min(gaps, default=np.inf) / 3.2,
-                    min(abs(roots[k]) for k in local) / 3.2)
-        for k in sorted(local, key=lambda k: (np.angle(roots[k]),
-                                              abs(roots[k]))):
-            loop = Loop(basepoint_near, _bypass_segments(
-                basepoint_near, direction, complex(roots[k]), r_loc,
-                np.delete(roots, k)))
-            perms.append(track_loop(loop, labels=labels, cfg=cfg).perm)
+        perms += _lasso_permutations(basepoint_near, direction, roots, local,
+                                     _lasso_radius(roots, roots[local]),
+                                     labels, cfg)
     if not perms:
         raise TrackingError(
             "local monodromy failed: no probe line crossed the "

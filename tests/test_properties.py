@@ -8,9 +8,9 @@ run checks the same examples.
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from cubicflex import CubicForm, Pencil, StratumLabel, classify
+from cubicflex import (CubicForm, Pencil, StratumLabel, classify,
+                       pencil_crossings)
 from cubicflex.forms import proj_distance
-from cubicflex.strata import CROSSING_SEED, _crossing_newton, _crossing_starts
 from cubicflex.verify import CLASSIFY_CORPUS
 
 DRAWS = settings(max_examples=40, deadline=None, derandomize=True,
@@ -36,11 +36,9 @@ def test_members_at_pencil_crossings_are_nodal(seed):
     rng = np.random.default_rng(seed)
     f0, f1 = (CubicForm(rng.standard_normal(10)
                         + 1j * rng.standard_normal(10)) for _ in range(2))
-    pencil = Pencil(f0, f1)
-    z, u = _crossing_newton(pencil, 0, 2, _crossing_starts(8, CROSSING_SEED))
-    assume(len(u) > 0)
-    for zi, ui in zip(z, u):
-        label, cert = classify(pencil.member([1.0, ui]))
-        assert label is StratumLabel.B1
+    for c in pencil_crossings(Pencil(f0, f1)).crossings:
+        label, cert = classify(c.member)
+        assert label is StratumLabel.B1 and c.label is StratumLabel.B1
+        assert c.multiplicity == 1
         node = cert.singular.points[0].point.coords
-        assert proj_distance(node, zi) < 1e-9
+        assert proj_distance(node, c.witness.coords) < 1e-9

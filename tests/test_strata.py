@@ -24,9 +24,9 @@ from cubicflex import (Certificate, CrossingError, CubicForm, Net,
                        hesse_pencil, inflection_points, net_cusp_members,
                        node_family, pencil_crossings, pencil_discriminant_fit,
                        proj_distance, triangle_cubic)
-from cubicflex.forms import greedy_distinct
-from cubicflex.strata import (CROSSING_SEED, _crossing_newton,
-                              _crossing_starts)
+from cubicflex.errors import RootFindingError
+from cubicflex.forms import eval_gradient, greedy_distinct
+from cubicflex.strata import MILNOR
 
 M = CubicForm.from_monomials
 
@@ -198,6 +198,62 @@ class TestPencilCrossings:
         for u in expected:
             assert np.abs(us - u).min() < 1e-5
 
+    @pytest.mark.parametrize("stratum,draw", [
+        ("B1", 0), ("B1", 7), ("B21", 0), ("B21", 8), ("B22", 0),
+        ("B22", 2), ("B22", 3), ("B31", 2), ("B31", 8), ("B32", 3),
+        ("B4", 3), ("B4", 8)])
+    def test_pencil_through_a_stratum(self, stratum, draw):
+        # B21 and B31 draw 8 came back as a B1 and a B31 of multiplicity
+        # 4 when crossings were matched to clustered roots; B22 draw 2
+        # split the cusp's double root beyond the clustering radius
+        pencil, u_star = stratum_pencil(stratum, draw)
+        assert_certified(pencil_crossings(pencil), stratum, u_star)
+
+    @pytest.mark.parametrize("stratum", list(MILNOR))
+    def test_no_uncertified_answer(self, stratum):
+        # draws that raise, or that once gave a wrong answer
+        outcomes = []
+        for draw in (2, 5, 6, 8, 9, 11):
+            pencil, u_star = stratum_pencil(str(stratum), draw)
+            try:
+                pc = pencil_crossings(pencil)
+            except (CrossingError, RootFindingError) as exc:
+                outcomes.append(type(exc))
+                continue
+            assert_certified(pc, str(stratum), u_star)
+            outcomes.append(None)
+        assert None in outcomes
+
+
+def stratum_pencil(stratum, draw):
+    """Draw `draw` of default_rng(1) of a pencil whose member at -c is a
+    PGL(3) image of the named cubic of the stratum: S(M z) + c g and g,
+    for a Gaussian M and g and c = (0.3 + 0.7i) x.  Returns the pencil
+    and -c."""
+    S = {want: f for f, want, _, _ in NAMED_CASES}[stratum]
+    rng = np.random.default_rng(1)
+    for _ in range(draw + 1):
+        M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        g = rand_cubic(rng)
+        c = (0.3 + 0.7j) * rng.standard_normal()
+    return Pencil(S.transform(M) + c * g, g), -c
+
+
+def assert_certified(pc, stratum, u_star):
+    """The stratum's member at u_star with multiplicity mu, a simple node
+    at every other crossing, and every witness a singular point."""
+    special = [c for c in pc.crossings if c.chart_value() is not None
+               and abs(c.chart_value() - u_star) < 1e-8]
+    assert len(special) == 1
+    assert special[0].label is StratumLabel(stratum)
+    assert special[0].multiplicity == MILNOR[StratumLabel(stratum)]
+    assert all(c.label is StratumLabel.B1 and c.multiplicity == 1
+               for c in pc.crossings if c is not special[0])
+    assert pc.total_multiplicity() == 12
+    for c in pc.crossings:
+        grad = eval_gradient(c.member.coeffs, c.witness.coords)
+        assert np.abs(grad).max() < 1e-9
+
 
 def fourth_pencil(seed):
     rng = np.random.default_rng(seed)
@@ -216,20 +272,19 @@ def reference_distinct(points, radius, distance):
 
 
 class TestDeduplication:
-    @pytest.mark.parametrize("pencil", [hesse_pencil(), fourth_pencil(4),
-                                        fourth_pencil(5)],
-                             ids=["hesse", "seed4", "seed5"])
-    def test_crossing_hits_keep_reference_survivors(self, pencil):
-        starts = _crossing_starts(200, CROSSING_SEED)
-        hits = []
-        for pchart in (0, 1):
-            for zchart in range(3):
-                _, u = _crossing_newton(pencil, pchart, zchart, starts)
-                hits += [[1.0, ui] if pchart == 0 else [ui, 1.0] for ui in u]
-        hits = np.array(hits, dtype=complex)
-        kept = greedy_distinct(hits, 1e-6)
-        assert kept == reference_distinct(hits, 1e-6, proj_distance)
-        assert len(hits) > 3 * len(kept)
+    def test_proj_distance_keeps_reference_survivors(self):
+        rng = np.random.default_rng(2)
+        centres = (rng.standard_normal((5, 2))
+                   + 1j * rng.standard_normal((5, 2)))
+        jitter = 1e-8 * (rng.standard_normal((200, 2))
+                         + 1j * rng.standard_normal((200, 2)))
+        # each point is a rescaled, jittered copy of one of five centres
+        scale = rng.standard_normal((200, 1)) + 1j * rng.standard_normal(
+            (200, 1))
+        pts = scale * (centres[rng.integers(0, 5, 200)] + jitter)
+        kept = greedy_distinct(pts, 1e-6)
+        assert kept == reference_distinct(pts, 1e-6, proj_distance)
+        assert len(kept) == 5
 
     def test_max_norm_keeps_reference_survivors(self):
         rng = np.random.default_rng(1)
