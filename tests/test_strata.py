@@ -26,7 +26,8 @@ from cubicflex import (Certificate, CrossingError, CubicForm, Net,
                        proj_distance, triangle_cubic)
 from cubicflex.errors import RootFindingError
 from cubicflex.forms import eval_gradient, greedy_distinct
-from cubicflex.strata import MILNOR
+from cubicflex.roots import UniPoly, all_roots
+from cubicflex.strata import MILNOR, _crossing_newton
 
 M = CubicForm.from_monomials
 
@@ -272,6 +273,24 @@ def reference_distinct(points, radius, distance):
 
 
 class TestDeduplication:
+    @pytest.mark.parametrize("pencil,crossings", [
+        (hesse_pencil(), 4), (fourth_pencil(4), 12), (fourth_pencil(5), 12)],
+        ids=["hesse", "seed4", "seed5"])
+    def test_crossing_hits_keep_reference_survivors(self, pencil, crossings):
+        # Newton from every fitted root of both charts reaches each
+        # crossing once from each chart (a Hesse triangle three times)
+        hits = []
+        for chart in (0, 1):
+            fit = pencil_discriminant_fit(pencil, chart)
+            for r in all_roots(UniPoly(fit, rel=1e-8),
+                               cluster_radius=0.0).roots:
+                hits.append(_crossing_newton(pencil, chart, r)[0])
+        hits = np.array(hits, dtype=complex)
+        kept = greedy_distinct(hits, 1e-6)
+        assert kept == reference_distinct(hits, 1e-6, proj_distance)
+        assert len(kept) == crossings
+        assert len(hits) >= 2 * len(kept)
+
     def test_proj_distance_keeps_reference_survivors(self):
         rng = np.random.default_rng(2)
         centres = (rng.standard_normal((5, 2))
