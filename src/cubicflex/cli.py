@@ -108,6 +108,8 @@ def cmd_monodromy(args):
     _dump({"perm": str(result.perm),
            "cycle_type": list(result.perm.cycle_type()),
            "steps_taken": result.steps_taken,
+           "steps_refused": result.steps_refused,
+           "min_step_taken": result.min_step_taken,
            "min_pairwise_separation": result.min_pairwise_separation,
            "max_residual": result.max_residual}, args)
     return 0

@@ -411,43 +411,57 @@ def _line_candidates(gc, ts):
     return np.array(z)
 
 
-def free_coords(chart):
-    """(n, 2) indices of the coordinates not pinned by chart (n,)."""
-    return (chart[:, None] + np.array([1, 2])) % 3
+def flex_gradients(fc, hc):
+    """The map (6, 6) from the quadratic monomials of a point to the
+    gradients of the cubic fc and of its Hessian hc there."""
+    return np.concatenate([gradient_coeffs(fc), gradient_coeffs(hc)]).T
 
 
-def flex_system(fc, hc, z0, free):
-    """The inflection equations {F, H} = 0 in the coordinates free (n, 2)
-    of the rows of z0, the third coordinate of each row held fixed.
+class FlexEquations:
+    """The inflection equations {F, H} = 0 of n points in charts: row k
+    keeps its coordinate chart[k] fixed and moves in the other two, the
+    columns free (n, 2).  The index arrays are built once, for every
+    cubic the points are solved on."""
 
-    Returns the start x0 (n, 2), lift(x), the points with those
-    coordinates set to x, and system(x), the residuals (n, 2) and
-    Jacobians (n, 2, 2) there.
-    """
-    grads = np.concatenate([gradient_coeffs(fc), gradient_coeffs(hc)]).T
-    rows = np.arange(len(z0))[:, None]
-    pick = (rows[:, :, None], np.array([[0], [1]]), free[:, None, :])
+    def __init__(self, chart):
+        self.free = (chart[:, None] + np.array([1, 2])) % 3
+        self.rows = np.arange(len(chart))[:, None]
+        self._pick = (self.rows[:, :, None], np.array([[0], [1]]),
+                      self.free[:, None, :])
 
-    def lift(x):
-        z = z0.copy()
-        z[rows, free] = x
-        return z
-
-    def system(x):
-        z = lift(x)
+    def gradients(self, grads, z):
+        """The gradients of F and H at the rows of z (n, 2, 3) and their
+        free columns, the Jacobians (n, 2, 2); grads from flex_gradients.
+        """
         G = (monomial_values(z, EXP2) @ grads).reshape(-1, 2, 3)
-        # F = z . grad F / 3 by Euler's relation, and likewise H
-        return (G @ z[:, :, None])[:, :, 0] / 3, G[pick]
+        return G, G[self._pick]
 
-    return z0[rows, free], lift, system
+    def system(self, grads, z0):
+        """The start x0 (n, 2), the free coordinates of z0; lift(x), the
+        points z0 with those coordinates set to x; and system(x), the
+        residuals (n, 2) and Jacobians (n, 2, 2) there."""
+        rows, free = self.rows, self.free
+
+        def lift(x):
+            z = z0.copy()
+            z[rows, free] = x
+            return z
+
+        def system(x):
+            z = lift(x)
+            G, J = self.gradients(grads, z)
+            # F = z . grad F / 3 by Euler's relation, and likewise H
+            return (G @ z[:, :, None])[:, :, 0] / 3, J
+
+        return z0[rows, free], lift, system
 
 
 def _batch_newton_flex(fc, hc, z0, iters=18):
     """Newton-correct candidate inflection points z0 (n, 3) on the 2x2
     system; the rows (n, 3) and whether each is a regular zero."""
     # each row keeps its largest coordinate fixed
-    x0, lift, system = flex_system(
-        fc, hc, z0, free_coords(np.argmax(np.abs(z0), axis=1)))
+    x0, lift, system = FlexEquations(np.argmax(np.abs(z0), axis=1)).system(
+        flex_gradients(fc, hc), z0)
     x, _ = newton.solve(system, x0, iters)
     z = lift(x)
     size = np.abs(z).max(axis=1)

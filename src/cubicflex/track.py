@@ -2,19 +2,24 @@
 
 A loop in coefficient space (piecewise lines and circular arcs) is
 discretized adaptively; the nine inflection points of the moving cubic
-are carried in lockstep by an Euler predictor (implicit-function
-derivative of {F = 0, H = 0}) and a Newton corrector, both solved by the
-shared batched core in newton.py.  Matching the transported points
-against the initial labels yields the monodromy permutation.
+are carried in lockstep by a classical fourth-order Runge-Kutta
+predictor on the implicit-function derivative of {F = 0, H = 0} and a
+Newton corrector, both solved by the shared batched core in newton.py.
+Matching the transported points against the initial labels yields the
+monodromy permutation.
 
 Step control.  A step stands only when the corrector converges, the
 points stay farther apart than the proximity guard, and the corrector
 moves no point by more than SEPARATION_GATE times the least pairwise
 separation before and after the step; a point that had jumped to
-another sheet would have to move that far.  A refused step is halved,
-down to min_step.  Each segment starts at min(initial_step,
-step_cap()), and after four accepted steps in a row the step doubles,
-up to GROWTH_CEILING of the segment.
+another sheet would have to move that far.  The gate's ratio q, the
+largest move over that bound, sets the next step: the predictor misses
+by O(step^5), so the step is scaled by (GATE_TARGET / q)^(1/5), by at
+most 4 after an accepted step and up to GROWTH_CEILING of the segment,
+and by 0.1 to 0.5 after a refused one.  A step whose corrector fails or
+whose points come within the proximity guard is halved.  Each segment
+starts at min(initial_step, step_cap()), and a step below min_step
+raises.
 
 Bypass routes.  The bypass of a crossing on a line through the
 basepoint runs straight toward it, once around it, and back.  Where the
@@ -37,8 +42,8 @@ from . import newton
 from .forms import (EXP3, CubicForm, Pencil, ProjPoint, eval_coeffs,
                     hessian_coeffs, hessian_directional, monomial_values,
                     proj_distance)
-from .locus import (InflectionPoint, InflectionSet, flex_system,
-                    free_coords, inflection_points, nearest_labels)
+from .locus import (FlexEquations, InflectionPoint, InflectionSet,
+                    flex_gradients, inflection_points, nearest_labels)
 from .perms import Perm, PermGroup
 from .roots import UniPoly, all_roots
 from .strata import pencil_discriminant_fit
@@ -49,8 +54,11 @@ CHART_SWITCH = 1e3
 # a step stands only if the corrector moves no point by more than this
 # share of the least flex separation before and after it
 SEPARATION_GATE = 0.02
-# steps grow, after four accepted in a row, up to this share of a segment
+# steps grow up to this share of a segment
 GROWTH_CEILING = 0.25
+# the step controller aims the gate's ratio q at this value, a margin
+# below the refusal at q = 1
+GATE_TARGET = 0.3
 ARC_TURN_CAP = 1.0 / 64.0
 # a bypass detours around another crossing o at up to this share of the
 # distance from o to its nearest other crossing; below 1/2, the disks of
@@ -219,6 +227,8 @@ class MonodromyResult:
     steps_taken: int
     min_pairwise_separation: float
     max_residual: float
+    steps_refused: int
+    min_step_taken: float
 
     @property
     def diagnostics(self):
@@ -247,6 +257,20 @@ def _pairwise_min_distance(Z):
     return float(np.sqrt(max(m.min(), 0.0)))
 
 
+class _PathPoint:
+    """What the predictor and corrector read of the cubic at parameter s
+    of a segment."""
+
+    def __init__(self, seg, s):
+        a = seg.value(s)
+        h = hessian_coeffs(a)
+        adot = seg.velocity(s)
+        # d/ds of the coefficients of F and H, as columns
+        self.rates = np.array([adot, hessian_directional(a, adot)]).T
+        self.grads = flex_gradients(a, h)
+        self.scale = np.array([np.abs(a).max(), np.abs(h).max()])
+
+
 class _Tracker:
     """Nine projective points carried across one coefficient path."""
 
@@ -254,35 +278,50 @@ class _Tracker:
         self.cfg = cfg
         self.Z = np.array(Z, dtype=complex)              # (9, 3), pinned
         self.chart = np.argmax(np.abs(self.Z), axis=1)
-        self.free = free_coords(self.chart)
+        self.eqs = FlexEquations(self.chart)
         rows = np.arange(len(self.Z))
         self.Z = self.Z / self.Z[rows, self.chart][:, None]
         self.steps = 0
+        self.refused = 0
+        self.min_step_taken = np.inf
         self.max_residual = 0.0
         self.separation = _pairwise_min_distance(self.Z)
         self.min_separation = self.separation
 
-    def predict(self, a, h, adot, ds):
-        """Euler step of length ds from coefficients a, with Hessian h."""
-        hdot = hessian_directional(a, adot)
-        x, lift, system = flex_system(a, h, self.Z, self.free)
-        _, J = system(x)
-        rates = monomial_values(self.Z, EXP3) @ np.array([adot, hdot]).T
-        return lift(x - ds * newton.linear_solve(J, rates))
+    def velocity(self, p, Z):
+        """dZ/ds of points Z on the cubic of the path point p, from the
+        implicit-function derivative of {F = 0, H = 0}: -J^-1 times the
+        s-derivatives of F and H.  The pinned coordinates stay fixed."""
+        _, J = self.eqs.gradients(p.grads, Z)
+        V = np.zeros_like(Z)
+        V[self.eqs.rows, self.eqs.free] = -newton.linear_solve(
+            J, monomial_values(Z, EXP3) @ p.rates)
+        return V
 
-    def correct(self, a, h, Zp):
-        """Newton iteration of all points on {F = 0, H = 0} at fixed
-        coefficients a with Hessian h; returns corrected coordinates or
-        None."""
-        x0, lift, system = flex_system(a, h, Zp, self.free)
-        coeff_scale = np.array([np.abs(a).max(), np.abs(h).max()])
+    def predict(self, k1, mid, end, ds):
+        """Classical fourth-order Runge-Kutta step of length ds from the
+        points self.Z, with velocity k1 there and the path points mid and
+        end at ds / 2 and ds."""
+        Z = self.Z
+        # a near-singular Jacobian can send rows to overflow or NaN; the
+        # corrector refuses them
+        with np.errstate(invalid='ignore', over='ignore'):
+            k2 = self.velocity(mid, Z + ds / 2 * k1)
+            k3 = self.velocity(mid, Z + ds / 2 * k2)
+            k4 = self.velocity(end, Z + ds * k3)
+            return Z + ds / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    def correct(self, p, Zp):
+        """Newton iteration of all points on {F = 0, H = 0} at the path
+        point p; returns corrected coordinates or None."""
+        x0, lift, system = self.eqs.system(p.grads, Zp)
         last = {}
 
         def scaled(x):
             # residuals relative to the coefficient size and |z|^3; the
             # pinned coordinate is 1
             zs = np.maximum(np.abs(x).max(axis=1), 1.0) ** 3
-            s = coeff_scale * zs[:, None]
+            s = p.scale * zs[:, None]
             r, J = system(x)
             last["x"], last["r"] = x.copy(), r / s
             return last["r"], J / s[:, :, None]
@@ -300,9 +339,10 @@ class _Tracker:
             return None, None
         return lift(x), float(res)
 
-    def accept(self, Z, res, sep):
+    def accept(self, Z, res, sep, step):
         self.Z = Z
         self.steps += 1
+        self.min_step_taken = min(self.min_step_taken, step)
         self.max_residual = max(self.max_residual, res)
         self.separation = sep
         self.min_separation = min(self.min_separation, sep)
@@ -311,40 +351,42 @@ class _Tracker:
         if np.any(big):
             idx = np.nonzero(big)[0]
             self.chart[idx] = np.argmax(np.abs(self.Z[idx]), axis=1)
-            self.free = free_coords(self.chart)
+            self.eqs = FlexEquations(self.chart)
             self.Z[idx] = self.Z[idx] / self.Z[idx, self.chart[idx]][:, None]
 
     def run_segment(self, seg):
         cfg = self.cfg
         s = 0.0
-        a = seg.value(s)
-        h = hessian_coeffs(a)
+        # the velocity at the accepted points survives a refused step
+        k1 = self.velocity(_PathPoint(seg, s), self.Z)
         ds = min(cfg.initial_step, seg.step_cap())
-        streak = 0
         while s < 1.0 - 1e-15:
             step = min(ds, 1.0 - s)
-            Zp = self.predict(a, h, seg.velocity(s), step)
-            a_next = seg.value(s + step)
-            h_next = hessian_coeffs(a_next)
-            Z, res = self.correct(a_next, h_next, Zp)
+            mid, end = _PathPoint(seg, s + step / 2), _PathPoint(seg, s + step)
+            Zp = self.predict(k1, mid, end, step)
+            Z, res = self.correct(end, Zp)
             sep = _pairwise_min_distance(Z) if Z is not None else 0.0
-            if sep <= cfg.proximity_guard or _row_distances(Zp, Z).max() \
-                    > SEPARATION_GATE * min(self.separation, sep):
+            if sep <= cfg.proximity_guard:
+                # the corrector failed, or points came too close
                 ds = step / 2.0
-                streak = 0
-                if ds < cfg.min_step:
-                    raise TrackingError(
-                        "path hits discriminant: step size underflow at "
-                        f"segment parameter {s:.6f}")
-                continue
-            s += step
-            # the corrector's end point starts the next step
-            a, h = a_next, h_next
-            self.accept(Z, res, sep)
-            streak += 1
-            if streak >= 4:
-                ds = min(2 * ds, GROWTH_CEILING)
-                streak = 0
+            else:
+                q = _row_distances(Zp, Z).max() / (
+                    SEPARATION_GATE * min(self.separation, sep))
+                # the predictor misses by O(step^5)
+                gain = (GATE_TARGET / q) ** 0.2 if q > 0 else np.inf
+                if q <= 1.0:
+                    s += step
+                    # the corrector's end point starts the next step
+                    self.accept(Z, res, sep, step)
+                    k1 = self.velocity(end, self.Z)
+                    ds = min(step * min(4.0, gain), GROWTH_CEILING)
+                    continue
+                ds = step * min(max(gain, 0.1), 0.5)
+            self.refused += 1
+            if ds < cfg.min_step:
+                raise TrackingError(
+                    "path hits discriminant: step size underflow at "
+                    f"segment parameter {s:.6f}")
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +443,9 @@ def track_loop(loop, labels=None, cfg=None):
                                [ip.label for ip in ordered]))
     return MonodromyResult(perm=perm, steps_taken=tracker.steps,
                            min_pairwise_separation=tracker.min_separation,
-                           max_residual=tracker.max_residual)
+                           max_residual=tracker.max_residual,
+                           steps_refused=tracker.refused,
+                           min_step_taken=tracker.min_step_taken)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,9 @@ class TestMonodromy:
                                 "--labels", "hesse", "--json"])
         assert doc["perm"] == "(2,8,5)(3,6,9)"
         assert doc["max_residual"] < 1e-8
+        assert doc["steps_taken"] == 7 and doc["steps_refused"] == 0
+        # the first step of the circle is initial_step, the least of all
+        assert doc["min_step_taken"] == 0.01
 
     def test_cusp_circle(self, capsys):
         doc = run_json(capsys, ["monodromy", data_path("cusp_circle"),

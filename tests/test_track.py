@@ -30,6 +30,9 @@ A bypass around a generic nodal degeneration is locally the `c1` model
 type is (3, 3, 1, 1, 1).
 """
 
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -191,8 +194,8 @@ class TestCoordinateLoops:
         assert G.order == 9
         assert G.orbits() == [(1, 4, 7), (2, 5, 8), (3, 6, 9)]
 
-    def test_one_hessian_per_attempted_step(self, coordinate_loops,
-                                            q_labels, monkeypatch):
+    def test_two_hessians_per_attempted_step(self, coordinate_loops,
+                                             q_labels, monkeypatch):
         counts = {"hessian": 0, "attempts": 0}
         hessian, correct = track.hessian_coeffs, track._Tracker.correct
 
@@ -208,12 +211,16 @@ class TestCoordinateLoops:
         monkeypatch.setattr(track._Tracker, "correct", counted_correct)
         loop = coordinate_loops[0]
         res = track_loop(loop, labels=q_labels)
-        # one per attempted step and one per segment start, plus the one
-        # that checks the labels at the basepoint
-        assert counts["hessian"] <= (counts["attempts"] + len(loop.segments)
-                                     + 1)
+        # the mid-step and end-of-step cubics of each attempted step, one
+        # per segment start, and the one that checks the labels at the
+        # basepoint
+        assert counts["hessian"] <= (2 * counts["attempts"]
+                                     + len(loop.segments) + 1)
+        # below the 24 of an Euler predictor, which took 21 steps in 22
+        # attempts here
+        assert counts["hessian"] < 24
         assert res.perm == G2
-        assert res.steps_taken == 21
+        assert res.steps_taken == 7
 
     def test_cusp_circle_cycle_type(self):
         loop = circle_loop(cusp_family(0.0), unit_coeff(0, 0), DELTA)
@@ -249,6 +256,20 @@ class TestTrackLoopEdges:
         assert res.diagnostics == (res.steps_taken,
                                    res.min_pairwise_separation,
                                    res.max_residual)
+
+    def test_refused_steps_count_the_extra_corrections(self, monkeypatch):
+        calls = {"correct": 0}
+        correct = track._Tracker.correct
+
+        def counted_correct(tracker, *args):
+            calls["correct"] += 1
+            return correct(tracker, *args)
+
+        monkeypatch.setattr(track._Tracker, "correct", counted_correct)
+        res = track_loop(bypass_loop(fermat_cubic(), nodal_target(), 0.02))
+        assert res.steps_refused > 0
+        assert calls["correct"] == res.steps_taken + res.steps_refused
+        assert 0 < res.min_step_taken <= TrackingConfig().initial_step
 
 
 NODAL_TARGET_COEFFS = {(3, 0): 1.0, (2, 0): 1.0, (0, 2): -1.0}
@@ -435,12 +456,35 @@ class TestLocalMonodromy:
         assert conjugate_in_s9(G, local_cusp_group()) is not None
 
 
+def bundled_loop(name):
+    data = resources.files("cubicflex") / "data" / f"{name}.json"
+    return Loop.from_json_dict(json.loads(data.read_text()))
+
+
 class TestStepGrowth:
+    def test_predictor_is_fourth_order(self):
+        # on a line from the Fermat cubic, halving the step shrinks the
+        # predictor's miss by about 2^5; an Euler predictor's by 2^2
+        base = fermat_cubic()
+        seg = Line(base, CubicForm(np.random.default_rng(0)
+                                   .standard_normal(10)))
+        tracker = track._Tracker(
+            [ip.point.coords for ip in inflection_points(base).points],
+            TrackingConfig())
+        k1 = tracker.velocity(track._PathPoint(seg, 0.0), tracker.Z)
+        misses = []
+        for ds in (0.04, 0.02):
+            end = track._PathPoint(seg, ds)
+            Zp = tracker.predict(k1, track._PathPoint(seg, ds / 2), end, ds)
+            Z, _ = tracker.correct(end, Zp)
+            misses.append(track._row_distances(Zp, Z).max())
+        assert misses[1] > 1e-10
+        assert misses[0] >= 16 * misses[1]
+
     def test_same_permutations_as_fixed_step_cap(self, monkeypatch):
         # circles around one crossing, off centre, and bypasses on two
-        # random lines through the Fermat cubic; the reference run caps
-        # every step at initial_step, as the tracker did before step
-        # growth
+        # random lines through the Fermat cubic, and the bundled circles;
+        # the reference run caps every step at initial_step
         rng = np.random.default_rng(2024)
         base = fermat_cubic()
         loops = []
@@ -463,11 +507,21 @@ class TestStepGrowth:
                 loops.append(Loop(base, track._bypass_segments(
                     base, delta, complex(roots[k]), radius,
                     np.delete(roots, k))))
-        grown = [track_loop(loop) for loop in loops]
+        labels = [None] * len(loops)
+        for name in ("loop_c1", "loop_c2", "loop_c3"):
+            loops.append(bundled_loop(name))
+            labels.append(label_against(
+                inflection_points(loops[-1].basepoint), hesse_base_points()))
+        loops.append(bundled_loop("cusp_circle"))
+        labels.append(None)
+        grown = [track_loop(loop, lab) for loop, lab in zip(loops, labels)]
         monkeypatch.setattr(track, "GROWTH_CEILING",
                             TrackingConfig().initial_step)
-        fixed = [track_loop(loop) for loop in loops]
+        fixed = [track_loop(loop, lab) for loop, lab in zip(loops, labels)]
         assert [r.perm for r in grown] == [r.perm for r in fixed]
-        assert all(r.perm.cycle_type() == (3, 3, 1, 1, 1) for r in grown)
+        assert all(r.perm.cycle_type() == (3, 3, 1, 1, 1)
+                   for r in grown[:-4])
+        assert [r.perm for r in grown[-4:-1]] == [G2, G3, G4]
+        assert grown[-1].perm.cycle_type() == (6, 2, 1)
         assert sum(r.steps_taken for r in grown) \
             < sum(r.steps_taken for r in fixed)
