@@ -2,12 +2,13 @@
 
 The nine inflection points (counted with intersection multiplicity) are
 the common zeros of the cubic and its Hessian.  In one fixed generic
-unitary frame, a chart-line resultant eliminates one variable.  A cubic
-with a finite inflection scheme is smooth or has one node or cusp, so
-the known multiplicity of that single singular point (6 or 8) is divided
-out of the resultant.  The lines through the roots of the quotient meet
-the cubic in Newton starts for the shared batched core in newton.py, and
-the distinct regular zeros found must be the simple inflection points.
+unitary frame, their resultant in z3 on the line (z1, z2) = (1, t)
+projects them to roots in t.  A cubic with a finite inflection scheme is
+smooth or has one node or cusp, so the known multiplicity of that
+single singular point (6 or 8) is divided out of the resultant.  The
+lines through the roots of the quotient meet the cubic in Newton starts
+for the shared batched core in newton.py, and the distinct regular zeros
+found must be the simple inflection points.
 
 Singular points of a cone (triple point or singular line) follow from
 its binary form.  Otherwise they are common zeros of the three partial
@@ -403,7 +404,7 @@ def _line_candidates(gc, ts):
     cubic gc.  In a generic frame the coefficient of z3^3 is the nonzero
     constant gc(e3), so each line meets the cubic in three finite points.
     """
-    cs = cubic_in_variable(gc, 2, False)
+    cs = cubic_in_variable(gc)
     z = []
     for t in ts:
         vals = [c @ t ** np.arange(len(c)) for c in cs]     # ascending in z3
@@ -478,17 +479,17 @@ def inflection_points(f):
     """The nine inflection points of a cubic, with multiplicities.
 
     They are the common zeros of the cubic and its Hessian, in one fixed
-    generic unitary frame U: with g = f(U z), the chart resultant R(t) of
-    g and its Hessian, eliminating z3, has a root at t = z2/z1 of each
-    inflection point, counted with multiplicity.  A cubic with a finite
-    inflection scheme is smooth or has a single node or cusp, where the
-    multiplicity is 6 or 8 (Harris, Duke Math. J. 1979).  That known
-    factor (t - t_s)^m of R is divided out by linear least squares, and
-    the fit residual checks m.  The three points where the line of each
-    root of the quotient meets g are Newton starts in the frame; the
-    distinct regular zeros away from the singular point must be exactly
-    the 9 - m simple inflection points.  They are mapped back through U
-    and polished again.
+    generic unitary frame U: with g = f(U z), the resultant R(t) in z3 of
+    g and its Hessian on the line (z1, z2) = (1, t) has a root at
+    t = z2/z1 of each inflection point, counted with multiplicity.  A
+    cubic with a finite inflection scheme is smooth or has a single node
+    or cusp, where the multiplicity is 6 or 8 (Harris, Duke Math. J.
+    1979).  That known factor (t - t_s)^m of R is divided out by linear
+    least squares, and the fit residual checks m.  The points where the
+    line of each root of the quotient meets g or its Hessian are Newton
+    starts in the frame; the distinct regular zeros away from the
+    singular point must be exactly the 9 - m simple inflection points.
+    They are mapped back through U and polished again.
 
     Raises CommonComponentError when the cubic shares a component with
     its Hessian (every cubic containing a line does, and so does every
@@ -521,7 +522,7 @@ def inflection_points(f):
     gc = substitute_linear(fc, _FLEX_FRAME)
     hgc = substitute_linear(hc, _FLEX_FRAME)
     R = np.zeros(10, dtype=complex)
-    r = resultant_on_chart(gc, hgc, (2, False)).coeffs
+    r = resultant_on_chart(gc, hgc).coeffs
     R[:len(r)] = r
     Q, pts = R, []
     for sp in sing.points:                  # at most one
@@ -537,12 +538,14 @@ def inflection_points(f):
                 f"the resultant has no root of multiplicity {m} at the "
                 f"{sp.local_type} (relative misfit {misfit:.1e})")
         pts.append(InflectionPoint(sp.point, m))
-    # every point where the line of a root of Q meets the cubic is a start:
-    # close to a singular cubic the roots cluster and lose accuracy, and a
-    # line's flex may be reached only from another line's point.  Repeats
-    # and the singular point drop out, and 9 - m simple flexes must remain
+    # every point where the line of a root of Q meets the cubic or its
+    # Hessian is a start: close to a singular cubic the roots cluster and
+    # lose accuracy, and a line's flex may be reached only from another
+    # line's point.  Repeats and the singular point drop out, and 9 - m
+    # simple flexes must remain
     ts = all_roots(Q, cluster_radius=1e-12).roots
-    z, good = _batch_newton_flex(gc, hgc, _line_candidates(gc, ts))
+    z, good = _batch_newton_flex(gc, hgc, np.concatenate(
+        [_line_candidates(gc, ts), _line_candidates(hgc, ts)]))
     z = z[good]
     for ip in pts:
         z = z[proj_distance(_FLEX_FRAME.conj().T @ ip.point.coords, z)

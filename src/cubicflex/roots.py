@@ -1,21 +1,22 @@
-"""Univariate root finding and chart-line resultants.
+"""Univariate root finding and the resultant of two cubics on a line.
 
-all_roots approximates every root of a dense complex polynomial
-simultaneously (Aberth-Ehrlich iteration from a deterministic initial
-ring), polishes with Newton, and merges clusters into multiple roots.
-The cluster cardinality is cross-checked against derivative smallness so
-a disagreement raises instead of guessing.
+all_roots takes every root of a dense complex polynomial as an
+eigenvalue of its companion matrix (np.roots, backward stable in the
+coefficients: Edelman and Murakami, Math. Comp. 1995), polishes with
+Newton, and merges clusters into multiple roots.  Each simple root must
+pass a scaled-residual gate, and each cluster must sit where the
+derivative nearly vanishes, so a disagreement raises instead of
+guessing.
 
-resultant_on_chart eliminates one projective variable from a pair of
-cubic forms after restricting the other two to a parametrized line; the
-result is the (formally degree-9) resultant as a polynomial in the line
-parameter, computed as the determinant of the 6x6 Sylvester matrix with
+resultant_on_chart restricts a pair of cubic forms to the line
+(z1, z2) = (1, t) and eliminates z3: the (formally degree-9) resultant
+in t is the determinant of their 3x3 Bezoutian in z3, expanded with
 exact coefficient convolutions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,47 +87,6 @@ class RootSet:
                             reverse=True))
 
 
-def _initial_ring(monic, n):
-    # Cauchy bound on root moduli; deterministic phase offset breaks the
-    # symmetry of polynomials like z^n - 1
-    bound = 1.0 + np.abs(monic[:-1]).max() if n > 0 else 1.0
-    k = np.arange(n)
-    return 0.6 * bound * np.exp(2j * np.pi * (k + 0.35) / n + 0.41j)
-
-
-def _aberth(poly, dpoly, z, max_iters, tol):
-    n = len(z)
-    best = None
-    best_res = np.inf
-    stall = 0
-    for _ in range(max_iters):
-        pv = poly(z)
-        dv = dpoly(z)
-        dv = np.where(np.abs(dv) < 1e-300, 1e-300, dv)
-        newton = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        inv = 1.0 / diff
-        np.fill_diagonal(inv, 0.0)
-        repulse = inv.sum(axis=1)
-        denom = 1.0 - newton * repulse
-        denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        w = newton / denom
-        z = z - w
-        res = np.abs(poly(z)).max()
-        if res < best_res * 0.95:
-            best_res = res
-            best = z.copy()
-            stall = 0
-        else:
-            stall += 1
-        if np.abs(w).max() < tol * (1.0 + np.abs(z).max()):
-            return z
-        if stall > 40:
-            break
-    return best if best is not None else z
-
-
 def _newton_polish(poly, dpoly, z, steps=2):
     # monotone-guarded: a step is kept only if it reduces |p|, so cluster
     # members sitting at the evaluation noise floor are left alone
@@ -163,7 +123,7 @@ def _cluster(z, radius):
     return list(groups.values())
 
 
-def all_roots(poly, cluster_radius=1e-5, max_iters=600, tol=1e-14):
+def all_roots(poly, cluster_radius=1e-5):
     """All complex roots of a UniPoly (or coefficient array).
 
     Returns a RootSet; the sum of multiplicities always equals the degree
@@ -175,18 +135,10 @@ def all_roots(poly, cluster_radius=1e-5, max_iters=600, tol=1e-14):
     if p.is_zero():
         raise DegenerateInputError("zero polynomial has no root set")
     n = p.degree
-    if n == 0:
-        return RootSet(np.zeros(0, dtype=complex), np.zeros(0, dtype=int),
-                       np.zeros(0))
     monic = p.coeffs / p.coeffs[-1]
     pm = UniPoly(monic, rel=0.0)
     dm = pm.derivative()
-    if n == 1:
-        roots = np.array([-monic[0]])
-    else:
-        z0 = _initial_ring(monic, n)
-        roots = _aberth(pm, dm, z0, max_iters, tol)
-        roots = _newton_polish(pm, dm, roots)
+    roots = _newton_polish(pm, dm, np.roots(monic[::-1]))
 
     groups = _cluster(roots, cluster_radius)
     centers = []
@@ -218,122 +170,52 @@ def all_roots(poly, cluster_radius=1e-5, max_iters=600, tol=1e-14):
 
 
 # ---------------------------------------------------------------------------
-# chart-restricted Sylvester resultants
+# the resultant on the chart line (z1, z2) = (1, t)
 
-# a chart picks the variable to eliminate and how the remaining pair is
-# parametrized along a line: (1, t) or (t, 1)
-CHARTS = [(2, False), (2, True), (0, False), (0, True), (1, False), (1, True)]
-
-
-def cubic_in_variable(coeffs, elim, swap):
-    """Restrict a cubic form to the chart line and collect by z_elim power.
-
-    The two kept variables are set to (1, t), or (t, 1) when swap is
-    true.  Returns four UniPoly coefficient arrays c[k] with
-    f = sum_k c[k](t) * z_elim^k.
-    """
-    keep = [v for v in range(3) if v != elim]
-    tvar = keep[1] if not swap else keep[0]
-    out = [np.zeros(4, dtype=complex) for _ in range(4)]
+def _in_z3(coeffs):
+    # c[k, j] is the coefficient of t^j z3^k in f(1, t, z3)
+    c = np.zeros((4, 4), dtype=complex)
     for n, (i, j) in enumerate(MONOMIALS):
-        if coeffs[n] == 0:
-            continue
-        e = (i, j, 3 - i - j)
-        k = e[elim]
-        tdeg = e[tvar]
-        out[k][tdeg] += coeffs[n]
-    return [trim(c) for c in out]
+        c[3 - i - j, j] += coeffs[n]
+    return c
 
 
-def _poly_mul_arr(a, b):
-    if len(a) == 0 or len(b) == 0:
-        return np.zeros(0, dtype=complex)
-    return np.convolve(a, b)
-
-
-def _poly_add_arr(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = a.copy()
-    out[:len(b)] += b
-    return out
-
-
-def _det_poly(rows):
-    """Determinant of a matrix of polynomial (ndarray) entries.
-
-    Laplace expansion along the first remaining row with memoization on
-    column subsets; zero entries are pruned so banded Sylvester matrices
-    stay cheap.
+def cubic_in_variable(coeffs):
+    """Restrict a cubic form to the line (z1, z2) = (1, t) and collect by
+    powers of z3.  Returns four ascending coefficient arrays c[k] with
+    f(1, t, z3) = sum_k c[k](t) * z3^k.
     """
-    n = len(rows)
-    memo = {}
-
-    def minor(r, cols):
-        if r == n:
-            return np.ones(1, dtype=complex)
-        key = cols
-        got = memo.get((r, key))
-        if got is not None:
-            return got
-        acc = np.zeros(0, dtype=complex)
-        for pos, c in enumerate(cols):
-            entry = rows[r][c]
-            if len(entry) == 0:
-                continue
-            sub = minor(r + 1, cols[:pos] + cols[pos + 1:])
-            if len(sub) == 0:
-                continue
-            term = _poly_mul_arr(entry, sub)
-            if pos % 2 == 1:
-                term = -term
-            acc = _poly_add_arr(acc, term)
-        memo[(r, key)] = acc
-        return acc
-
-    return minor(0, tuple(range(n)))
+    return [trim(c) for c in _in_z3(coeffs)]
 
 
-def sylvester_resultant(p, q):
-    """Resultant of two formal cubics with polynomial coefficients.
+def resultant_on_chart(f, g):
+    """Degree <= 9 resultant in z3 of two cubic forms on the line
+    (z1, z2) = (1, t), as a UniPoly in t.
 
-    p, q: length-4 lists of ascending UniPoly coefficient arrays.
+    f, g: CubicForm or raw coefficient vectors.  The resultant is the
+    determinant of the 3x3 Bezoutian of the two cubics in z3, expanded
+    with exact coefficient convolutions, so integer input gives integer
+    coefficients.  Raises CommonComponentError when it vanishes
+    identically.
     """
-    zero = np.zeros(0, dtype=complex)
-    p = [np.asarray(c, dtype=complex) for c in p]
-    q = [np.asarray(c, dtype=complex) for c in q]
-    rows = []
-    for shift in range(3):
-        row = [zero] * 6
-        for k in range(4):
-            row[shift + k] = p[3 - k]
-        rows.append(row)
-    for shift in range(3):
-        row = [zero] * 6
-        for k in range(4):
-            row[shift + k] = q[3 - k]
-        rows.append(row)
-    return _det_poly(rows)
+    p = _in_z3(np.asarray(getattr(f, 'coeffs', f), dtype=complex))
+    q = _in_z3(np.asarray(getattr(g, 'coeffs', g), dtype=complex))
+    # (p(x) q(y) - p(y) q(x)) / (x - y) = sum_ab B[a][b] x^a y^b
+    B = [[np.zeros(7, dtype=complex) for _ in range(3)] for _ in range(3)]
+    for k in range(4):
+        for m in range(k):
+            d = np.convolve(p[k], q[m]) - np.convolve(p[m], q[k])
+            for a in range(k - m):
+                B[m + a][k - 1 - a] += d
 
+    def minor(k, m):                # of rows 1, 2 and columns k, m
+        return np.convolve(B[1][k], B[2][m]) - np.convolve(B[1][m], B[2][k])
 
-def resultant_on_chart(f, g, chart):
-    """Degree <= 9 resultant of two cubic forms on a chart line.
-
-    f, g: CubicForm or raw coefficient vectors.  chart: index into CHARTS
-    or an (elim, swap) pair.  Raises CommonComponentError when the
-    resultant vanishes identically on this chart (which callers must
-    confirm on independent charts before concluding a shared component).
-    """
-    cf = getattr(f, 'coeffs', f)
-    cg = getattr(g, 'coeffs', g)
-    elim, swap = CHARTS[chart] if isinstance(chart, int) else chart
-    p = cubic_in_variable(np.asarray(cf, dtype=complex), elim, swap)
-    q = cubic_in_variable(np.asarray(cg, dtype=complex), elim, swap)
-    scale = (max(np.abs(np.concatenate([c for c in p if len(c)] or [np.zeros(1)])).max(), 1e-300)
-             * max(np.abs(np.concatenate([c for c in q if len(c)] or [np.zeros(1)])).max(), 1e-300)) ** 3
-    det = sylvester_resultant(p, q)
-    det = trim(det, rel=TRIM_REL)
-    if len(det) == 0 or np.abs(det).max() < 1e-12 * scale:
-        raise CommonComponentError(
-            "resultant vanishes identically on this chart")
-    return UniPoly(det)
+    det = (np.convolve(B[0][0], minor(1, 2))
+           - np.convolve(B[0][1], minor(0, 2))
+           + np.convolve(B[0][2], minor(0, 1)))
+    R = UniPoly(-det)               # det B = (-1)^(3 (3 - 1) / 2) Res
+    scale = (np.abs(p).max() * np.abs(q).max()) ** 3
+    if R.is_zero() or np.abs(R.coeffs).max() < 1e-12 * scale:
+        raise CommonComponentError("resultant vanishes identically")
+    return R

@@ -7,11 +7,15 @@ permutation of the coordinate-circle loop, the invariant chain).
 """
 
 import json
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cubicflex
 from cubicflex.cli import main
 from cubicflex.forms import CubicForm, fermat_cubic, triangle_cubic
 from cubicflex.track import Line, Loop
@@ -196,3 +200,15 @@ class TestConfigPlumbing:
         assert doc["tracking"]["newton_tol"] == 1e-12
         # untouched defaults survive
         assert doc["tracking"]["min_step"] == 1e-7
+
+
+def test_import_loads_neither_scipy_nor_sympy():
+    # every command starts with this import; scipy.linalg alone takes
+    # about 0.7 s to load on a 2-core machine
+    src = str(Path(cubicflex.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import cubicflex; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} "
+            "& {'scipy', 'sympy'}))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

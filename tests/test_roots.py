@@ -6,7 +6,16 @@ import pytest
 from cubicflex import CommonComponentError, DegenerateInputError
 from cubicflex.forms import cusp_family, fermat_cubic, triangle_cubic
 from cubicflex.roots import (UniPoly, all_roots, resultant_on_chart, trim,
-                             cubic_in_variable, CHARTS)
+                             cubic_in_variable)
+
+# resultant_on_chart eliminates z3 on the line (z1, z2) = (1, t).  The
+# pullback f(P z) by a permutation matrix P eliminates another variable:
+#   rows e3, e1, e2: f(P z) at (1, t, w) is f(w, 1, t), z1 over (z2, z3) = (1, t)
+#   rows e3, e2, e1: f(w, t, 1), z1 over (z2, z3) = (t, 1)
+#   rows e1, e3, e2: f(1, w, t), z2 over (z1, z3) = (1, t)
+Z1_OVER_Z2_Z3 = np.eye(3)[[2, 0, 1]]
+Z1_OVER_Z3_Z2 = np.eye(3)[[2, 1, 0]]
+Z2_OVER_Z1_Z3 = np.eye(3)[[0, 2, 1]]
 
 
 def test_trim_drops_tiny_leading_coefficients():
@@ -70,7 +79,7 @@ def test_fermat_triangle_resultant_closed_form():
     # Fermat cubic and z1 z2 z3 is proportional to t^3 (1 + t^3):
     # the three inflection points on z2 = 0 project to t = 0 and the three
     # vertices on z3 = 0 project to the cube roots of -1.
-    R = resultant_on_chart(fermat_cubic(), triangle_cubic(), (2, False))
+    R = resultant_on_chart(fermat_cubic(), triangle_cubic())
     expected = np.zeros(7, dtype=complex)
     expected[3], expected[6] = 1.0, 1.0
     assert np.allclose(R.coeffs / R.coeffs[-1], expected)
@@ -82,24 +91,27 @@ def test_cuspidal_resultant_multiplicity_structure():
     # the inflection system of the cuspidal cubic z1^3 + z2^2 z3:
     # eliminating z1 over (z2, z3) = (t, 1) all intersection multiplicity
     # sits in an exact multiplicity-8 cluster at the cusp projection;
-    # the flip chart shows the remaining simple inflection point.
+    # over (z2, z3) = (1, t) the remaining simple inflection point shows.
     g = cusp_family(0.0)
     h = g.hessian_form()
-    rs = all_roots(resultant_on_chart(g, h, (0, True)))
+    rs = all_roots(resultant_on_chart(g.transform(Z1_OVER_Z3_Z2),
+                                      h.transform(Z1_OVER_Z3_Z2)))
     assert rs.by_multiplicity() == (8,)
     assert abs(rs.roots[0]) < 1e-6
-    rs2 = all_roots(resultant_on_chart(g, h, (0, False)))
+    rs2 = all_roots(resultant_on_chart(g.transform(Z1_OVER_Z2_Z3),
+                                       h.transform(Z1_OVER_Z2_Z3)))
     assert rs2.by_multiplicity() == (1,)
 
 
 def test_identical_curves_raise_common_component():
     f = fermat_cubic()
     with pytest.raises(CommonComponentError):
-        resultant_on_chart(f, f * (2.0 + 1.0j), (2, False))
+        resultant_on_chart(f, f * (2.0 + 1.0j))
     # the triangle's hessian is the triangle again
     t = triangle_cubic()
     with pytest.raises(CommonComponentError):
-        resultant_on_chart(t, t.hessian_form(), (1, False))
+        resultant_on_chart(t.transform(Z2_OVER_Z1_Z3),
+                           t.hessian_form().transform(Z2_OVER_Z1_Z3))
 
 
 def test_resultant_degree_nine_for_generic_pair():
@@ -108,9 +120,7 @@ def test_resultant_degree_nine_for_generic_pair():
         from cubicflex import CubicForm
         f = CubicForm(rng.standard_normal(10) + 1j * rng.standard_normal(10))
         g = CubicForm(rng.standard_normal(10) + 1j * rng.standard_normal(10))
-        for chart in range(len(CHARTS)):
-            R = resultant_on_chart(f, g, chart)
-            assert R.degree == 9
+        assert resultant_on_chart(f, g).degree == 9
 
 
 def test_resultant_matches_sympy_oracle():
@@ -131,7 +141,7 @@ def test_resultant_matches_sympy_oracle():
 
     R_oracle = sp.resultant(poly_of(f.coeffs).as_expr(),
                             poly_of(g.coeffs).as_expr(), z3)
-    R_ours = resultant_on_chart(f, g, (2, False))
+    R_ours = resultant_on_chart(f, g)
     oracle_coeffs = np.array(
         [complex(sp.Poly(R_oracle, t).coeff_monomial(t**k))
          for k in range(R_ours.degree + 1)])
@@ -143,7 +153,7 @@ def test_resultant_matches_sympy_oracle():
 def test_cubic_in_variable_restriction():
     f = fermat_cubic()
     # eliminate z1 over (z2, z3) = (1, t): f = z1^3 + 1 + t^3
-    c = cubic_in_variable(f.coeffs, 0, False)
+    c = cubic_in_variable(f.transform(Z1_OVER_Z2_Z3).coeffs)
     assert np.allclose(c[3], [1.0])
     assert np.allclose(c[0], [1.0, 0.0, 0.0, 1.0])
     assert len(c[1]) == 0 and len(c[2]) == 0

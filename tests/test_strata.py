@@ -200,15 +200,30 @@ class TestPencilCrossings:
             assert np.abs(us - u).min() < 1e-5
 
     @pytest.mark.parametrize("stratum,draw", [
-        ("B1", 0), ("B1", 7), ("B21", 0), ("B21", 8), ("B22", 0),
-        ("B22", 2), ("B22", 3), ("B31", 2), ("B31", 8), ("B32", 3),
-        ("B4", 3), ("B4", 8)])
+        ("B1", 0), ("B1", 2), ("B1", 7), ("B21", 0), ("B21", 8),
+        ("B21", 11), ("B22", 0), ("B22", 2), ("B22", 3), ("B22", 11),
+        ("B31", 2), ("B31", 8), ("B31", 11), ("B32", 3), ("B32", 9),
+        ("B32", 11), ("B4", 2), ("B4", 3), ("B4", 8), ("B4", 11)])
     def test_pencil_through_a_stratum(self, stratum, draw):
         # B21 and B31 draw 8 came back as a B1 and a B31 of multiplicity
         # 4 when crossings were matched to clustered roots; B22 draw 2
-        # split the cusp's double root beyond the clustering radius
+        # split the cusp's double root beyond the clustering radius.
+        # B1 draw 2 and draw 11 of the others have a chart-0 fit with a
+        # root far out; at B32 draw 9 and B4 draw 2 the chart-0 fit has
+        # 3 or 4 roots within 4e-4 of the special member, and each must
+        # be found there for its Newton run to reach it
         pencil, u_star = stratum_pencil(stratum, draw)
         assert_certified(pencil_crossings(pencil), stratum, u_star)
+
+    def test_fit_roots_with_a_far_root(self):
+        # the chart-0 fit of B21 draw 11 spans |u| from 0.16 to 147, with a
+        # pair 1.4e-6 apart at the B21 member: every root is simple and
+        # passes the residual gate
+        fit = pencil_discriminant_fit(stratum_pencil('B21', 11)[0], 0)
+        rs = all_roots(UniPoly(fit, rel=1e-8), cluster_radius=0.0)
+        assert rs.by_multiplicity() == (1,) * 12
+        assert rs.residuals.max() < 1e-8
+        assert np.abs(np.abs(rs.roots) - 147).min() < 1
 
     @pytest.mark.parametrize("stratum", list(MILNOR))
     def test_no_uncertified_answer(self, stratum):
