@@ -23,8 +23,8 @@ from .strata import (Certificate, Crossing, NetCusp, PencilCrossings,
                      StratumLabel, classify, discriminant_value,
                      net_cusp_members, pencil_crossings,
                      pencil_discriminant_fit)
-from .track import (Arc, Line, Loop, MonodromyResult, TrackingConfig,
-                    bypass_loop, circle_loop, generate_global_monodromy,
+from .track import (Arc, Line, Loop, MonodromyResult, bypass_loop,
+                    circle_loop, generate_global_monodromy,
                     line_bypass_permutations, local_monodromy, track_loop)
 from .invariants import (CurveNumerics, SurfaceNumerics, covering_euler,
                          hurwitz_double_cover_genus, invariant_chain,
@@ -46,9 +46,9 @@ __all__ = [
     "Certificate", "Crossing", "NetCusp", "PencilCrossings", "StratumLabel",
     "classify", "discriminant_value", "net_cusp_members", "pencil_crossings",
     "pencil_discriminant_fit",
-    "Arc", "Line", "Loop", "MonodromyResult", "TrackingConfig",
-    "bypass_loop", "circle_loop", "generate_global_monodromy",
-    "line_bypass_permutations", "local_monodromy", "track_loop",
+    "Arc", "Line", "Loop", "MonodromyResult", "bypass_loop", "circle_loop",
+    "generate_global_monodromy", "line_bypass_permutations",
+    "local_monodromy", "track_loop",
     "CurveNumerics", "SurfaceNumerics", "covering_euler",
     "hurwitz_double_cover_genus", "invariant_chain", "noether_chi",
     "plane_curve_genus",

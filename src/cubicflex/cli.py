@@ -25,9 +25,8 @@ from .forms import CubicForm, Net, Pencil
 from .locus import hesse_base_points, inflection_points, label_against
 from .perms import Perm, PermGroup
 from .strata import classify, net_cusp_members, pencil_crossings
-from .track import Loop, TrackingConfig, track_loop
-from .verify import (SUITES, effective_config, run_suite, tracking_config,
-                     write_records)
+from .track import Loop, track_loop
+from .verify import SUITES, effective_config, run_suite
 
 
 def _load_json(path):
@@ -71,19 +70,13 @@ def _inflection_set_dict(infl):
 
 def _build_config(args):
     overrides = {}
-    if getattr(args, "config", None):
+    if args.config:
         doc = _load_json(args.config)
         if not isinstance(doc, dict):
             raise SchemaError("config file must hold a JSON object")
         overrides.update(doc)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "tol", None) is not None:
-        overrides.setdefault("tracking", {})
-        if not isinstance(overrides["tracking"], dict):
-            raise SchemaError("config key 'tracking' must be an object")
-        overrides["tracking"] = dict(overrides["tracking"],
-                                     newton_tol=args.tol)
     return effective_config(overrides)
 
 
@@ -98,13 +91,12 @@ def cmd_inflect(args):
 
 
 def cmd_monodromy(args):
-    cfg = _build_config(args)
     loop = _load_loop(args.loop)
     labels = None
     if args.labels == "hesse":
         labels = label_against(inflection_points(loop.basepoint),
                                hesse_base_points())
-    result = track_loop(loop, labels=labels, cfg=tracking_config(cfg))
+    result = track_loop(loop, labels=labels)
     _dump({"perm": str(result.perm),
            "cycle_type": list(result.perm.cycle_type()),
            "steps_taken": result.steps_taken,
@@ -115,18 +107,17 @@ def cmd_monodromy(args):
     return 0
 
 
-def _perm_from_source(source, cfg):
+def _perm_from_source(source):
     if source.startswith("("):
         return Perm.parse(source)
-    return track_loop(_load_loop(source), cfg=tracking_config(cfg)).perm
+    return track_loop(_load_loop(source)).perm
 
 
 def cmd_group(args):
     if not args.perms:
         raise SchemaError("group needs at least one permutation "
                           "(cycle string or loop file)")
-    cfg = _build_config(args)
-    gens = [_perm_from_source(s, cfg) for s in args.perms]
+    gens = [_perm_from_source(s) for s in args.perms]
     G = PermGroup(gens)
     _dump({"generators": [str(g) for g in gens],
            "order": G.order,
@@ -182,8 +173,7 @@ def cmd_invariants(args):
 
 
 def cmd_paper_verify(args):
-    cfg_overrides = _build_config(args)
-    records = run_suite(args.suite, cfg_overrides)
+    records = run_suite(args.suite, _build_config(args))
     command = shlex.join(sys.argv[1:]) if sys.argv[0].endswith(
         ("cubicflex", "cli.py")) else args.suite
     if args.out:
@@ -209,12 +199,13 @@ def cmd_paper_verify(args):
 # parser
 
 def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--seed", type=int, help="seed override")
-    sub.add_argument("--tol", type=float,
-                     help="Newton tolerance override for tracking")
     sub.add_argument("--json", action="store_true",
                      help="compact machine-readable output")
+
+
+def _add_config(sub):
+    sub.add_argument("--config", help="JSON config file")
+    sub.add_argument("--seed", type=int, help="seed override")
     sub.add_argument("--print-config", action="store_true",
                      help="print the effective configuration and exit")
 
@@ -262,6 +253,7 @@ def build_parser():
     p.add_argument("cubic2")
     p.add_argument("--starts", type=int, help="multistart count")
     _add_common(p)
+    _add_config(p)
     p.set_defaults(fn=cmd_cusps)
 
     p = subs.add_parser("invariants", help="integer invariant chain")
@@ -272,6 +264,7 @@ def build_parser():
     p.add_argument("--suite", choices=SUITES + ("all",), default="all")
     p.add_argument("--out", help="write JSONL report here")
     _add_common(p)
+    _add_config(p)
     p.set_defaults(fn=cmd_paper_verify)
     return parser
 

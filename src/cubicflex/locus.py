@@ -404,12 +404,19 @@ def _line_candidates(gc, ts):
     cubic gc.  In a generic frame the coefficient of z3^3 is the nonzero
     constant gc(e3), so each line meets the cubic in three finite points.
     """
-    cs = cubic_in_variable(gc)
-    z = []
-    for t in ts:
-        vals = [c @ t ** np.arange(len(c)) for c in cs]     # ascending in z3
-        z += [[1.0, t, r] for r in np.roots(vals[::-1])]
-    return np.array(z)
+    # vals[k, j]: the coefficient of z3^j on the line of ts[k]; a stack
+    # of (1, d) @ (d,) products rounds as a dot product per line does,
+    # where one (n, d) @ (d,) product may not
+    vals = np.concatenate([(ts[:, None, None] ** np.arange(len(c))) @ c
+                           for c in cubic_in_variable(gc)], axis=1)
+    # the companion matrices of the monic cubics in z3, as in np.roots
+    A = np.zeros((len(ts), 3, 3), dtype=complex)
+    A[:, 0] = -vals[:, 2::-1] / vals[:, 3:]
+    A[:, [1, 2], [0, 1]] = 1.0
+    z = np.ones((len(ts), 3, 3), dtype=complex)
+    z[:, :, 1] = ts[:, None]
+    z[:, :, 2] = np.linalg.eigvals(A)
+    return z.reshape(-1, 3)
 
 
 def flex_gradients(fc, hc):

@@ -28,8 +28,11 @@ TRIM_REL = 1e-14
 
 
 def trim(coeffs, rel=TRIM_REL):
-    """Drop leading (highest-degree) coefficients below rel * max modulus."""
+    """Drop leading (highest-degree) coefficients below rel * max modulus.
+    Raises RootFindingError on a NaN or infinite coefficient."""
     c = np.asarray(coeffs, dtype=complex).ravel()
+    if not np.isfinite(c).all():
+        raise RootFindingError("polynomial coefficients are not finite")
     if c.size == 0:
         return c
     m = np.abs(c).max()

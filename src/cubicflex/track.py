@@ -8,18 +8,19 @@ Newton corrector, both solved by the shared batched core in newton.py.
 Matching the transported points against the initial labels yields the
 monodromy permutation.
 
-Step control.  A step stands only when the corrector converges, the
-points stay farther apart than the proximity guard, and the corrector
-moves no point by more than SEPARATION_GATE times the least pairwise
-separation before and after the step; a point that had jumped to
-another sheet would have to move that far.  The gate's ratio q, the
-largest move over that bound, sets the next step: the predictor misses
-by O(step^5), so the step is scaled by (GATE_TARGET / q)^(1/5), by at
-most 4 after an accepted step and up to GROWTH_CEILING of the segment,
-and by 0.1 to 0.5 after a refused one.  A step whose corrector fails or
-whose points come within the proximity guard is halved.  Each segment
-starts at min(initial_step, step_cap()), and a step below min_step
-raises.
+Step control.  The tracker's settings are the module constants named
+here, the same for every loop.  A step stands only when the corrector
+meets NEWTON_TOL within NEWTON_MAX_ITERS iterations, the points stay
+farther apart than PROXIMITY_GUARD, and the corrector moves no point by
+more than SEPARATION_GATE times the least pairwise separation before
+and after the step; a point that had jumped to another sheet would have
+to move that far.  The gate's ratio q, the largest move over that
+bound, sets the next step: the predictor misses by O(step^5), so the
+step is scaled by (GATE_TARGET / q)^(1/5), by at most 4 after an
+accepted step and up to GROWTH_CEILING of the segment, and by 0.1 to
+0.5 after a refused one.  A step whose corrector fails or whose points
+come within PROXIMITY_GUARD is halved.  Each segment starts at
+min(INITIAL_STEP, step_cap()), and a step below MIN_STEP raises.
 
 Bypass routes.  The bypass of a crossing on a line through the
 basepoint runs straight toward it, once around it, and back.  Where the
@@ -32,7 +33,7 @@ system whose product is the identity.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,6 +52,14 @@ from .strata import pencil_discriminant_fit
 logger = logging.getLogger(__name__)
 
 CHART_SWITCH = 1e3
+# each segment starts at this step, a step below MIN_STEP raises
+INITIAL_STEP = 1e-2
+MIN_STEP = 1e-7
+# the corrector's scaled residual tolerance and iteration budget
+NEWTON_TOL = 1e-11
+NEWTON_MAX_ITERS = 12
+# a step stands only if the points stay farther apart than this
+PROXIMITY_GUARD = 1e-4
 # a step stands only if the corrector moves no point by more than this
 # share of the least flex separation before and after it
 SEPARATION_GATE = 0.02
@@ -205,23 +214,6 @@ def circle_loop(center, direction, radius, turns=1.0):
 
 
 @dataclass(frozen=True)
-class TrackingConfig:
-    initial_step: float = 1e-2
-    min_step: float = 1e-7
-    newton_tol: float = 1e-11
-    newton_max_iters: int = 12
-    proximity_guard: float = 1e-4
-
-    def __post_init__(self):
-        if not (0 < self.min_step < self.initial_step):
-            raise SchemaError("need 0 < min_step < initial_step")
-        if self.newton_tol <= 0 or self.proximity_guard <= 0:
-            raise SchemaError("tolerances must be positive")
-        if self.newton_max_iters < 1:
-            raise SchemaError("newton_max_iters must be at least 1")
-
-
-@dataclass(frozen=True)
 class MonodromyResult:
     perm: Perm
     steps_taken: int
@@ -229,11 +221,6 @@ class MonodromyResult:
     max_residual: float
     steps_refused: int
     min_step_taken: float
-
-    @property
-    def diagnostics(self):
-        return (self.steps_taken, self.min_pairwise_separation,
-                self.max_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +261,7 @@ class _PathPoint:
 class _Tracker:
     """Nine projective points carried across one coefficient path."""
 
-    def __init__(self, Z, cfg):
-        self.cfg = cfg
+    def __init__(self, Z):
         self.Z = np.array(Z, dtype=complex)              # (9, 3), pinned
         self.chart = np.argmax(np.abs(self.Z), axis=1)
         self.eqs = FlexEquations(self.chart)
@@ -326,8 +312,8 @@ class _Tracker:
             last["x"], last["r"] = x.copy(), r / s
             return last["r"], J / s[:, :, None]
 
-        x, converged = newton.solve(scaled, x0, self.cfg.newton_max_iters,
-                                    tol=self.cfg.newton_tol)
+        x, converged = newton.solve(scaled, x0, NEWTON_MAX_ITERS,
+                                    tol=NEWTON_TOL)
         if not converged.all():
             return None, None
         # when every row stopped on the tolerance, solve's last residual
@@ -335,7 +321,7 @@ class _Tracker:
         # and still has to meet the tolerance
         r = last["r"] if np.array_equal(last["x"], x) else scaled(x)[0]
         res = np.abs(r).max()
-        if res > self.cfg.newton_tol:
+        if res > NEWTON_TOL:
             return None, None
         return lift(x), float(res)
 
@@ -355,18 +341,17 @@ class _Tracker:
             self.Z[idx] = self.Z[idx] / self.Z[idx, self.chart[idx]][:, None]
 
     def run_segment(self, seg):
-        cfg = self.cfg
         s = 0.0
         # the velocity at the accepted points survives a refused step
         k1 = self.velocity(_PathPoint(seg, s), self.Z)
-        ds = min(cfg.initial_step, seg.step_cap())
+        ds = min(INITIAL_STEP, seg.step_cap())
         while s < 1.0 - 1e-15:
             step = min(ds, 1.0 - s)
             mid, end = _PathPoint(seg, s + step / 2), _PathPoint(seg, s + step)
             Zp = self.predict(k1, mid, end, step)
             Z, res = self.correct(end, Zp)
             sep = _pairwise_min_distance(Z) if Z is not None else 0.0
-            if sep <= cfg.proximity_guard:
+            if sep <= PROXIMITY_GUARD:
                 # the corrector failed, or points came too close
                 ds = step / 2.0
             else:
@@ -383,7 +368,7 @@ class _Tracker:
                     continue
                 ds = step * min(max(gain, 0.1), 0.5)
             self.refused += 1
-            if ds < cfg.min_step:
+            if ds < MIN_STEP:
                 raise TrackingError(
                     "path hits discriminant: step size underflow at "
                     f"segment parameter {s:.6f}")
@@ -424,14 +409,13 @@ def _validate_basepoint(loop, labels):
     return labels
 
 
-def track_loop(loop, labels=None, cfg=None):
+def track_loop(loop, labels=None):
     """Carry the nine labeled inflection points around a closed loop and
     return the induced permutation with diagnostics."""
-    cfg = cfg or TrackingConfig()
     labels = _validate_basepoint(loop, labels)
     ordered = sorted(labels.points, key=lambda ip: ip.label)
-    tracker = _Tracker(np.array([ip.point.coords for ip in ordered]), cfg)
-    if tracker.separation <= cfg.proximity_guard:
+    tracker = _Tracker(np.array([ip.point.coords for ip in ordered]))
+    if tracker.separation <= PROXIMITY_GUARD:
         raise TrackingError(
             "basepoint not smooth: inflection points closer than the "
             "proximity guard")
@@ -543,7 +527,7 @@ def bypass_loop(basepoint, target, radius):
                                             s_star, radius, others))
 
 
-def line_bypass_permutations(basepoint, direction, labels=None, cfg=None,
+def line_bypass_permutations(basepoint, direction, labels=None,
                              radius=None):
     """Track the bypasses of every discriminant crossing on the line
     basepoint + s*direction, in path order (sorted by the argument of
@@ -561,7 +545,7 @@ def line_bypass_permutations(basepoint, direction, labels=None, cfg=None,
     if radius is None:
         radius = min(_lasso_radius(roots, roots), 0.05)
     return _lasso_permutations(basepoint, direction, roots,
-                               range(len(roots)), radius, labels, cfg)
+                               range(len(roots)), radius, labels)
 
 
 def _lasso_radius(roots, targets):
@@ -572,7 +556,7 @@ def _lasso_radius(roots, targets):
 
 
 def _lasso_permutations(basepoint, direction, roots, targets, radius,
-                        labels, cfg):
+                        labels):
     """The permutations of the bypasses of the crossings roots[k], k in
     targets, in path order: by argument, then modulus."""
     perms = []
@@ -581,12 +565,11 @@ def _lasso_permutations(basepoint, direction, roots, targets, radius,
         loop = Loop(basepoint, _bypass_segments(
             basepoint, direction, complex(roots[k]), radius,
             np.delete(roots, k)))
-        perms.append(track_loop(loop, labels=labels, cfg=cfg).perm)
+        perms.append(track_loop(loop, labels=labels).perm)
     return perms
 
 
-def global_line_outcomes(basepoint, line_count, seed, labels=None,
-                         cfg=None):
+def global_line_outcomes(basepoint, line_count, seed, labels=None):
     """Track the bypasses of `line_count` random complex lines through
     the basepoint, drawn from default_rng(seed).  Returns, per line, the
     list of its bypass permutations in path order, or the typed error
@@ -600,7 +583,7 @@ def global_line_outcomes(basepoint, line_count, seed, labels=None,
                           + 1j * rng.standard_normal(10))
         try:
             outcomes.append(line_bypass_permutations(basepoint, delta,
-                                                     labels=labels, cfg=cfg))
+                                                     labels=labels))
         except (NumericalError, DegenerateInputError) as exc:
             outcomes.append(exc)
     return outcomes
@@ -622,18 +605,17 @@ def group_of_lines(outcomes):
     return PermGroup(perms)
 
 
-def generate_global_monodromy(basepoint, line_count, seed, labels=None,
-                              cfg=None):
+def generate_global_monodromy(basepoint, line_count, seed, labels=None):
     """The group generated by bypass permutations of all discriminant
     crossings of `line_count` random complex lines through the
     basepoint.  Failing lines are skipped with a warning; at least one
     line must succeed in full."""
     return group_of_lines(global_line_outcomes(basepoint, line_count, seed,
-                                               labels, cfg))
+                                               labels))
 
 
 def local_monodromy(basepoint_near, stratum_point, radius, probe_count,
-                    seed, labels=None, cfg=None):
+                    seed, labels=None):
     """The group generated by bypasses around the discriminant branches
     meeting a neighborhood of the stratum point: crossings of random
     probe lines through the nearby basepoint, kept when the member lies
@@ -657,7 +639,7 @@ def local_monodromy(basepoint_near, stratum_point, radius, probe_count,
             continue
         perms += _lasso_permutations(basepoint_near, direction, roots, local,
                                      _lasso_radius(roots, roots[local]),
-                                     labels, cfg)
+                                     labels)
     if not perms:
         raise TrackingError(
             "local monodromy failed: no probe line crossed the "

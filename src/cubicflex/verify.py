@@ -10,13 +10,12 @@ the configuration that produced it, so a run can be replayed.
 from __future__ import annotations
 
 import functools
-import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CubicflexError
+from .errors import CubicflexError, SchemaError
 from .forms import (CubicForm, Net, Pencil, cusp_family, fermat_cubic,
                     hesse_pencil, node_family, triangle_cubic)
 from .invariants import (covering_euler, hurwitz_double_cover_genus,
@@ -26,8 +25,8 @@ from .perms import (G0, G1, G2, G3, G4, Perm, PermGroup, closure,
                     conjugate_in_s9, coset_action, hesse_group,
                     local_cusp_group)
 from .strata import StratumLabel, classify, net_cusp_members, pencil_crossings
-from .track import (TrackingConfig, circle_loop, global_line_outcomes,
-                    group_of_lines, local_monodromy, track_loop)
+from .track import (circle_loop, global_line_outcomes, group_of_lines,
+                    local_monodromy, track_loop)
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -36,25 +35,20 @@ DEFAULT_CONFIG = {
     "local_probes": 3,
     "pencil_samples": 20,
     "net_starts": 2000,
-    "tracking": asdict(TrackingConfig()),
 }
 
 SUITES = ("group", "local", "global", "strata", "counts", "invariants")
 
 
 def effective_config(overrides=None):
-    """DEFAULT_CONFIG with a (possibly nested) override dict applied."""
-    cfg = json.loads(json.dumps(DEFAULT_CONFIG))
-    for key, val in (overrides or {}).items():
-        if key == "tracking" and isinstance(val, dict):
-            cfg["tracking"].update(val)
-        else:
-            cfg[key] = val
-    return cfg
-
-
-def tracking_config(cfg):
-    return TrackingConfig(**cfg["tracking"])
+    """DEFAULT_CONFIG with the overrides applied; a key that
+    DEFAULT_CONFIG does not have raises SchemaError."""
+    overrides = overrides or {}
+    unknown = sorted(set(overrides) - set(DEFAULT_CONFIG))
+    if unknown:
+        raise SchemaError("unknown config key(s): "
+                          + ", ".join(map(repr, unknown)))
+    return {**DEFAULT_CONFIG, **overrides}
 
 
 @dataclass(frozen=True)
@@ -165,22 +159,20 @@ def _coordinate_loops(delta):
 def suite_local(cfg):
     r = _Recorder("local", cfg)
     delta = cfg["delta"]
-    tc = tracking_config(cfg)
     base = node_family(delta, delta, delta)
     qlabels = label_against(inflection_points(base), hesse_base_points())
     c1, c2, c3 = _coordinate_loops(delta)
     r.check("loop_c1", str(G2),
-            lambda: str(track_loop(c1, labels=qlabels, cfg=tc).perm))
+            lambda: str(track_loop(c1, labels=qlabels).perm))
     r.check("loop_c2", str(G3),
-            lambda: str(track_loop(c2, labels=qlabels, cfg=tc).perm))
+            lambda: str(track_loop(c2, labels=qlabels).perm))
     r.check("loop_c3", str(G4),
-            lambda: str(track_loop(c3, labels=qlabels, cfg=tc).perm))
+            lambda: str(track_loop(c3, labels=qlabels).perm))
     r.check("loop_c1_reversed", str(G2.inverse()),
-            lambda: str(track_loop(c1.reversed(), labels=qlabels,
-                                   cfg=tc).perm))
+            lambda: str(track_loop(c1.reversed(), labels=qlabels).perm))
 
     def nodal_group():
-        G = PermGroup((track_loop(c1, labels=qlabels, cfg=tc).perm,))
+        G = PermGroup((track_loop(c1, labels=qlabels).perm,))
         types = {p.cycle_type() for p in G.elements if p != Perm.identity()}
         return (G.order, sorted(types))
     r.check("nodal_branch_group", (3, [(3, 3, 1, 1, 1)]), nodal_group)
@@ -188,7 +180,7 @@ def suite_local(cfg):
     def local_group(target):
         G = local_monodromy(base, target, radius=delta,
                             probe_count=cfg["local_probes"],
-                            seed=cfg["seed"] + 11, labels=qlabels, cfg=tc)
+                            seed=cfg["seed"] + 11, labels=qlabels)
         return (G.order, G.orbits())
     orb9 = [(1, 4, 7), (2, 5, 8), (3, 6, 9)]
     r.check("triangle_stratum_group", (9, orb9),
@@ -198,12 +190,12 @@ def suite_local(cfg):
 
     cusp_loop = circle_loop(cusp_family(0), _unit_form(0, 0), delta)
     r.check("cusp_circle_cycle_type", (6, 2, 1),
-            lambda: track_loop(cusp_loop, cfg=tc).perm.cycle_type())
+            lambda: track_loop(cusp_loop).perm.cycle_type())
 
     def cusp_group():
         G = local_monodromy(cusp_family(delta), cusp_family(0),
                             radius=delta, probe_count=cfg["local_probes"],
-                            seed=cfg["seed"] + 11, cfg=tc)
+                            seed=cfg["seed"] + 11)
         conj = conjugate_in_s9(G, local_cusp_group())
         return (G.order, G.orbit_sizes(), conj is not None)
     r.check("cusp_stratum_group", (24, (8, 1), True), cusp_group)
@@ -214,7 +206,7 @@ def suite_local(cfg):
                               + 0.05 * fermat_cubic().coeffs)
         G = local_monodromy(basepoint, stratum, radius=delta,
                             probe_count=cfg["local_probes"],
-                            seed=cfg["seed"] + 11, cfg=tc)
+                            seed=cfg["seed"] + 11)
         return G.order
     r.check("tacnode_stratum_group_order", "reported",
             tacnode_group_order, report_only=True)
@@ -223,14 +215,13 @@ def suite_local(cfg):
 
 def suite_global(cfg):
     r = _Recorder("global", cfg)
-    tc = tracking_config(cfg)
     f = fermat_cubic()
 
     @functools.cache
     def lines():
         # each line is tracked once and feeds both checks
         return global_line_outcomes(f, cfg["global_lines"],
-                                    seed=cfg["seed"] + 7, cfg=tc)
+                                    seed=cfg["seed"] + 7)
 
     def group_facts():
         G = group_of_lines(lines())
@@ -372,8 +363,3 @@ def run_suite(name, overrides=None):
         raise ValueError(f"unknown suite {name!r}; "
                          f"choose from {SUITES + ('all',)}")
     return _SUITE_FUNCS[name](cfg)
-
-
-def write_records(records, stream):
-    for rec in records:
-        stream.write(json.dumps(rec.to_json_dict()) + "\n")

@@ -78,7 +78,7 @@ class TestMonodromy:
         assert doc["perm"] == "(2,8,5)(3,6,9)"
         assert doc["max_residual"] < 1e-8
         assert doc["steps_taken"] == 7 and doc["steps_refused"] == 0
-        # the first step of the circle is initial_step, the least of all
+        # the first step of the circle is INITIAL_STEP, the least of all
         assert doc["min_step_taken"] == 0.01
 
     def test_cusp_circle(self, capsys):
@@ -189,17 +189,44 @@ class TestPaperVerify:
 class TestConfigPlumbing:
     def test_print_config_applies_overrides(self, capsys, tmp_path):
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps(
-            {"tracking": {"initial_step": 0.005}, "delta": 0.1}))
+        cfgfile.write_text(json.dumps({"delta": 0.1}))
         doc = run_json(capsys, ["paper-verify", "--suite", "group",
                                 "--config", str(cfgfile), "--seed", "5",
-                                "--tol", "1e-12", "--print-config"])
+                                "--print-config"])
         assert doc["delta"] == 0.1
         assert doc["seed"] == 5
-        assert doc["tracking"]["initial_step"] == 0.005
-        assert doc["tracking"]["newton_tol"] == 1e-12
         # untouched defaults survive
-        assert doc["tracking"]["min_step"] == 1e-7
+        assert doc["global_lines"] == 2
+
+    @pytest.mark.parametrize("doc,key", [
+        ({"delat": 0.1}, "'delat'"),
+        ({"tracking": {"newton_tl": 1}}, "'tracking'"),
+    ], ids=["typo", "tracking"])
+    @pytest.mark.parametrize("argv", [
+        ["paper-verify", "--suite", "local"],
+        ["paper-verify", "--print-config"],
+    ], ids=["local", "print-config"])
+    def test_unknown_config_key_is_schema_error(self, capsys, tmp_path,
+                                                doc, key, argv):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(doc))
+        assert main([*argv, "--config", str(cfgfile)]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_tol_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["monodromy", data_path("loop_c1"), "--tol", "1e-12"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["inflect", data_path("fermat")],
+        ["classify", data_path("fermat")],
+        ["monodromy", data_path("loop_c1")],
+    ], ids=["inflect", "classify", "monodromy"])
+    def test_seed_only_where_a_config_is_read(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "5"])
+        assert exc.value.code == 2
 
 
 def test_import_loads_neither_scipy_nor_sympy():

@@ -12,12 +12,13 @@ import pytest
 from cubicflex import locus
 from cubicflex.errors import (CommonComponentError, MatchingError,
                               NumericalError)
-from cubicflex.forms import (EXP3, THIRD, CubicForm, ProjPoint, cusp_family,
-                             fermat_cubic, hesse_pencil, node_family,
-                             proj_distance, triangle_cubic)
+from cubicflex.forms import (EXP3, MONOMIALS, THIRD, CubicForm, ProjPoint,
+                             cusp_family, fermat_cubic, hesse_pencil,
+                             node_family, proj_distance, triangle_cubic)
 from cubicflex.locus import (InflectionSet, hesse_base_points,
                              inflection_points, label_against,
                              nearest_labels, singular_points)
+from cubicflex.roots import cubic_in_variable
 from cubicflex.strata import StratumLabel, classify
 
 W = np.exp(2j * np.pi / 3)
@@ -372,6 +373,22 @@ class TestFixedFrame:
         for ip in inflection_points(f).simple_points():
             z = ip.point.coords
             assert proj_distance(z, mp_flex(f.coeffs, z)) < 1e-12
+
+    def test_line_candidates_match_numpy_roots(self):
+        # without a z1^3 term the line t = 0 meets g at z3 = 0, a zero
+        # constant coefficient that np.roots strips before its companion
+        # matrix; the 3x3 companion eigenvalues give the same points
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+        g[MONOMIALS.index((3, 0))] = 0.0
+        ts = np.array([0.0, 0.5 + 1.0j, -2.0])
+        got = locus._line_candidates(g, ts).reshape(-1, 3, 3)
+        for t, pts in zip(ts, got):
+            vals = [c @ t ** np.arange(len(c)) for c in cubic_in_variable(g)]
+            want = np.sort_complex(np.roots(vals[::-1]))
+            assert np.abs(np.sort_complex(pts[:, 2]) - want).max() < 1e-14
+            assert np.array_equal(pts[:, :2], np.tile([1.0, t], (3, 1)))
+        assert 0.0 in got[0, :, 2]
 
     @pytest.mark.parametrize("key", [20223, 22389])
     def test_badly_conditioned_nodal_images(self, key):

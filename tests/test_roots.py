@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cubicflex import CommonComponentError, DegenerateInputError
+from cubicflex import (CommonComponentError, DegenerateInputError,
+                       RootFindingError)
 from cubicflex.forms import cusp_family, fermat_cubic, triangle_cubic
 from cubicflex.roots import (UniPoly, all_roots, resultant_on_chart, trim,
                              cubic_in_variable)
@@ -65,6 +66,12 @@ def test_degree_conservation_with_multiplicity():
 def test_zero_polynomial_rejected():
     with pytest.raises(DegenerateInputError):
         all_roots(np.zeros(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_coefficients_rejected(bad):
+    with pytest.raises(RootFindingError, match="not finite"):
+        all_roots(np.array([1, bad, 1]))
 
 
 def test_unipoly_degree_and_derivative():

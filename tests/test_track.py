@@ -43,8 +43,8 @@ from cubicflex.locus import hesse_base_points, inflection_points, label_against
 from cubicflex.perms import (G1, G2, G3, G4, Perm, PermGroup,
                              conjugate_in_s9, hesse_group, local_cusp_group)
 from cubicflex import track
-from cubicflex.track import (Arc, Line, Loop, MonodromyResult, TrackingConfig,
-                             bypass_loop, circle_loop, generate_global_monodromy,
+from cubicflex.track import (Arc, Line, Loop, MonodromyResult, bypass_loop,
+                             circle_loop, generate_global_monodromy,
                              line_bypass_permutations, local_monodromy,
                              track_loop)
 
@@ -72,10 +72,9 @@ def coordinate_loops():
     return c1, c2, c3
 
 
-def check_diagnostics(result, cfg=None):
-    cfg = cfg or TrackingConfig()
+def check_diagnostics(result):
     assert result.max_residual < 1e-8
-    assert result.min_pairwise_separation > cfg.proximity_guard
+    assert result.min_pairwise_separation > track.PROXIMITY_GUARD
     assert result.steps_taken > 0
 
 
@@ -141,22 +140,6 @@ class TestLoop:
         rev = coordinate_loops[0].reversed()
         arc = rev.segments[0]
         assert arc.turn_start == 1.0 and arc.turn_end == 0.0
-
-
-class TestTrackingConfig:
-    def test_defaults(self):
-        cfg = TrackingConfig()
-        assert cfg.initial_step == 1e-2
-        assert cfg.min_step == 1e-7
-        assert cfg.newton_tol == 1e-11
-        assert cfg.newton_max_iters == 12
-        assert cfg.proximity_guard == 1e-4
-
-    def test_validation(self):
-        with pytest.raises(SchemaError):
-            TrackingConfig(initial_step=1e-8)  # below min_step
-        with pytest.raises(SchemaError):
-            TrackingConfig(newton_tol=-1.0)
 
 
 class TestCoordinateLoops:
@@ -251,12 +234,6 @@ class TestTrackLoopEdges:
         with pytest.raises(TrackingError, match="basepoint not smooth"):
             track_loop(bad)
 
-    def test_diagnostics_tuple(self, coordinate_loops, q_labels):
-        res = track_loop(coordinate_loops[0], labels=q_labels)
-        assert res.diagnostics == (res.steps_taken,
-                                   res.min_pairwise_separation,
-                                   res.max_residual)
-
     def test_refused_steps_count_the_extra_corrections(self, monkeypatch):
         calls = {"correct": 0}
         correct = track._Tracker.correct
@@ -269,7 +246,7 @@ class TestTrackLoopEdges:
         res = track_loop(bypass_loop(fermat_cubic(), nodal_target(), 0.02))
         assert res.steps_refused > 0
         assert calls["correct"] == res.steps_taken + res.steps_refused
-        assert 0 < res.min_step_taken <= TrackingConfig().initial_step
+        assert 0 < res.min_step_taken <= track.INITIAL_STEP
 
 
 NODAL_TARGET_COEFFS = {(3, 0): 1.0, (2, 0): 1.0, (0, 2): -1.0}
@@ -469,8 +446,7 @@ class TestStepGrowth:
         seg = Line(base, CubicForm(np.random.default_rng(0)
                                    .standard_normal(10)))
         tracker = track._Tracker(
-            [ip.point.coords for ip in inflection_points(base).points],
-            TrackingConfig())
+            [ip.point.coords for ip in inflection_points(base).points])
         k1 = tracker.velocity(track._PathPoint(seg, 0.0), tracker.Z)
         misses = []
         for ds in (0.04, 0.02):
@@ -484,7 +460,7 @@ class TestStepGrowth:
     def test_same_permutations_as_fixed_step_cap(self, monkeypatch):
         # circles around one crossing, off centre, and bypasses on two
         # random lines through the Fermat cubic, and the bundled circles;
-        # the reference run caps every step at initial_step
+        # the reference run caps every step at INITIAL_STEP
         rng = np.random.default_rng(2024)
         base = fermat_cubic()
         loops = []
@@ -515,8 +491,7 @@ class TestStepGrowth:
         loops.append(bundled_loop("cusp_circle"))
         labels.append(None)
         grown = [track_loop(loop, lab) for loop, lab in zip(loops, labels)]
-        monkeypatch.setattr(track, "GROWTH_CEILING",
-                            TrackingConfig().initial_step)
+        monkeypatch.setattr(track, "GROWTH_CEILING", track.INITIAL_STEP)
         fixed = [track_loop(loop, lab) for loop, lab in zip(loops, labels)]
         assert [r.perm for r in grown] == [r.perm for r in fixed]
         assert all(r.perm.cycle_type() == (3, 3, 1, 1, 1)
