@@ -74,8 +74,18 @@ def _build_triple_products():
 
 TRIP = _build_triple_products()
 
-# WORD[n]: the variables of monomial n as a sorted word, z1^2 z3 -> (0, 0, 2)
-WORD = np.array([[0] * i + [1] * j + [2] * (3 - i - j) for i, j in MONOMIALS])
+
+def _words(basis, degree):
+    """Row n: the variables of monomial n as a sorted word, so that
+    z1^2 z3 -> (0, 0, 2)."""
+    return np.array([[0] * i + [1] * j + [2] * (degree - i - j)
+                     for i, j in basis])
+
+WORD = _words(MONOMIALS, 3)
+# FACTORS[d][k][n]: the k-th variable of degree-d monomial n, one
+# contiguous index array per k, so monomial_values gathers and multiplies
+FACTORS = {d: tuple(_words(basis, d).T.copy())
+           for d, basis in ((2, MONOMIALS2), (3, MONOMIALS))}
 
 
 def _build_hessian_tensor():
@@ -113,12 +123,16 @@ _HESSIAN_SCATTER[HESSIAN_TERMS[0], np.arange(HESSIAN_TERMS.shape[1])] = \
     HESSIAN_TENSOR[tuple(HESSIAN_TERMS)]
 
 
-def monomial_values(points, exps):
-    """Rows of monomial values z1^i z2^j z3^k for each point (batched)."""
+def monomial_values(points, degree):
+    """Rows of the values of the degree-2 (MONOMIALS2) or degree-3
+    (MONOMIALS) monomials at each point (batched): products of gathered
+    coordinates, with no complex powers."""
     P = np.atleast_2d(np.asarray(points, dtype=complex))
-    return (P[:, None, 0] ** exps[None, :, 0]
-            * P[:, None, 1] ** exps[None, :, 1]
-            * P[:, None, 2] ** exps[None, :, 2])
+    first, *rest = FACTORS[degree]
+    v = P.take(first, axis=1)
+    for k in rest:
+        v *= P.take(k, axis=1)
+    return v
 
 
 def chart_points(x, free):
@@ -131,7 +145,7 @@ def chart_points(x, free):
 
 def eval_coeffs(coeffs, points):
     """Evaluate a cubic coefficient vector at one point or a batch."""
-    vals = monomial_values(points, EXP3) @ np.asarray(coeffs, dtype=complex)
+    vals = monomial_values(points, 3) @ np.asarray(coeffs, dtype=complex)
     return vals if np.ndim(points) > 1 else vals[0]
 
 
@@ -143,7 +157,7 @@ def gradient_coeffs(coeffs):
 def eval_gradient(coeffs, points):
     """Gradient rows at one point or a batch: (..., 3)."""
     g = gradient_coeffs(coeffs)
-    vals = monomial_values(points, EXP2) @ g.T
+    vals = monomial_values(points, 2) @ g.T
     return vals if np.ndim(points) > 1 else vals[0]
 
 

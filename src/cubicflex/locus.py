@@ -28,7 +28,7 @@ import numpy as np
 from .errors import (ChartError, CommonComponentError, DegenerateInputError,
                      MatchingError, NumericalError)
 from . import newton
-from .forms import (EXP2, MONOMIAL_INDEX, CubicForm, ProjPoint,
+from .forms import (MONOMIAL_INDEX, CubicForm, ProjPoint,
                     chart_points, eval_coeffs, eval_gradient,
                     gradient_coeffs, greedy_distinct, monomial_values,
                     proj_distance, second_partials_matrix, substitute_linear,
@@ -441,7 +441,7 @@ class FlexEquations:
         """The gradients of F and H at the rows of z (n, 2, 3) and their
         free columns, the Jacobians (n, 2, 2); grads from flex_gradients.
         """
-        G = (monomial_values(z, EXP2) @ grads).reshape(-1, 2, 3)
+        G = (monomial_values(z, 2) @ grads).reshape(-1, 2, 3)
         return G, G[self._pick]
 
     def system(self, grads, z0):

@@ -20,7 +20,9 @@ step is scaled by (GATE_TARGET / q)^(1/5), by at most 4 after an
 accepted step and up to GROWTH_CEILING of the segment, and by 0.1 to
 0.5 after a refused one.  A step whose corrector fails or whose points
 come within PROXIMITY_GUARD is halved.  Each segment starts at
-min(INITIAL_STEP, step_cap()), and a step below MIN_STEP raises.
+min(INITIAL_STEP, step_cap()), and a step below MIN_STEP raises.  After
+every accepted step each point is pinned at 1 in its largest coordinate,
+so no pinned coordinate tends to 0 along the path.
 
 Bypass routes.  The bypass of a crossing on a line through the
 basepoint runs straight toward it, once around it, and back.  Where the
@@ -40,7 +42,7 @@ import numpy as np
 from .errors import (CrossingError, DegenerateInputError, NumericalError,
                      SchemaError, TrackingError)
 from . import newton
-from .forms import (EXP3, CubicForm, Pencil, ProjPoint, eval_coeffs,
+from .forms import (CubicForm, Pencil, ProjPoint, eval_coeffs,
                     hessian_coeffs, hessian_directional, monomial_values,
                     proj_distance)
 from .locus import (FlexEquations, InflectionPoint, InflectionSet,
@@ -51,7 +53,6 @@ from .strata import pencil_discriminant_fit
 
 logger = logging.getLogger(__name__)
 
-CHART_SWITCH = 1e3
 # each segment starts at this step, a step below MIN_STEP raises
 INITIAL_STEP = 1e-2
 MIN_STEP = 1e-7
@@ -262,13 +263,10 @@ class _Tracker:
     """Nine projective points carried across one coefficient path."""
 
     def __init__(self, Z):
-        self.Z = np.array(Z, dtype=complex)              # (9, 3), pinned
-        self.chart = np.argmax(np.abs(self.Z), axis=1)
-        self.eqs = FlexEquations(self.chart)
-        rows = np.arange(len(self.Z))
-        self.Z = self.Z / self.Z[rows, self.chart][:, None]
-        self.steps = 0
-        self.refused = 0
+        self.Z = np.array(Z, dtype=complex)              # (9, 3)
+        self.chart = np.full(len(self.Z), -1)
+        self.pin()
+        self.steps = self.refused = 0
         self.min_step_taken = np.inf
         self.max_residual = 0.0
         self.separation = _pairwise_min_distance(self.Z)
@@ -281,7 +279,7 @@ class _Tracker:
         _, J = self.eqs.gradients(p.grads, Z)
         V = np.zeros_like(Z)
         V[self.eqs.rows, self.eqs.free] = -newton.linear_solve(
-            J, monomial_values(Z, EXP3) @ p.rates)
+            J, monomial_values(Z, 3) @ p.rates)
         return V
 
     def predict(self, k1, mid, end, ds):
@@ -332,13 +330,15 @@ class _Tracker:
         self.max_residual = max(self.max_residual, res)
         self.separation = sep
         self.min_separation = min(self.min_separation, sep)
-        # rehome points that drifted far from their pinned chart
-        big = np.abs(self.Z).max(axis=1) > CHART_SWITCH
-        if np.any(big):
-            idx = np.nonzero(big)[0]
-            self.chart[idx] = np.argmax(np.abs(self.Z[idx]), axis=1)
-            self.eqs = FlexEquations(self.chart)
-            self.Z[idx] = self.Z[idx] / self.Z[idx, self.chart[idx]][:, None]
+        self.pin()
+
+    def pin(self):
+        """Pin each row at 1 in its largest coordinate, as ProjPoint does."""
+        chart = np.argmax(np.abs(self.Z), axis=1)
+        moved = chart != self.chart
+        if moved.any():
+            self.chart, self.eqs = chart, FlexEquations(chart)
+            self.Z[moved] /= self.Z[moved, chart[moved]][:, None]
 
     def run_segment(self, seg):
         s = 0.0

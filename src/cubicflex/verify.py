@@ -41,13 +41,26 @@ SUITES = ("group", "local", "global", "strata", "counts", "invariants")
 
 
 def effective_config(overrides=None):
-    """DEFAULT_CONFIG with the overrides applied; a key that
-    DEFAULT_CONFIG does not have raises SchemaError."""
+    """DEFAULT_CONFIG with the overrides applied.  A key that
+    DEFAULT_CONFIG does not have raises SchemaError, and so does a value
+    of the wrong kind: delta must be a finite number above 0, seed an
+    integer of at least 0 and every count an integer of at least 1."""
     overrides = overrides or {}
     unknown = sorted(set(overrides) - set(DEFAULT_CONFIG))
     if unknown:
         raise SchemaError("unknown config key(s): "
                           + ", ".join(map(repr, unknown)))
+    for key, v in overrides.items():
+        number = isinstance(v, (int, float)) and not isinstance(v, bool)
+        if isinstance(DEFAULT_CONFIG[key], float):
+            kind, ok = "a finite number above 0", number and 0 < v < np.inf
+        else:
+            least = 0 if key == "seed" else 1
+            kind = f"an integer of at least {least}"
+            ok = number and isinstance(v, int) and v >= least
+        if not ok:
+            raise SchemaError(f"config key {key!r} must be {kind}, "
+                              f"not {v!r}")
     return {**DEFAULT_CONFIG, **overrides}
 
 

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from cubicflex.forms import (EXP3, CubicForm, eval_coeffs, eval_gradient,
+from cubicflex.forms import (CubicForm, eval_coeffs, eval_gradient,
                              hessian_coeffs, monomial_values, proj_distance)
 from cubicflex.locus import hesse_base_points, inflection_points
 from cubicflex.perms import Perm, PermGroup, hesse_group
@@ -65,7 +65,7 @@ def test_criterion_2_inflection_suite():
         assert infl.multiplicity_signature() == (1,) * 9
         h = hessian_coeffs(f.coeffs)
         Z = np.array([ip.point.coords for ip in infl.points])
-        mv = monomial_values(Z, EXP3)
+        mv = monomial_values(Z, 3)
         assert np.abs(mv @ f.coeffs).max() < 1e-8 * np.abs(f.coeffs).max()
         assert np.abs(mv @ h).max() < 1e-8 * np.abs(h).max()
     elapsed = time.perf_counter() - t0

@@ -213,6 +213,19 @@ class TestConfigPlumbing:
         assert main([*argv, "--config", str(cfgfile)]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [
+        {"seed": "a"}, {"seed": 1.5}, {"seed": True}, {"seed": -1},
+        {"delta": 0}, {"delta": -0.05}, {"delta": "0.05"}, {"delta": None},
+        {"global_lines": 0}, {"global_lines": "2"}, {"local_probes": 2.0},
+        {"pencil_samples": False}, {"net_starts": -5},
+    ], ids=lambda d: "-".join(f"{k}={v!r}" for k, v in d.items()))
+    def test_bad_config_value_is_schema_error(self, capsys, tmp_path, doc):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(doc))
+        assert main(["paper-verify", "--suite", "strata",
+                     "--config", str(cfgfile)]) == 2
+        assert repr(next(iter(doc))) in capsys.readouterr().err
+
     def test_tol_is_gone(self):
         with pytest.raises(SystemExit) as exc:
             main(["monodromy", data_path("loop_c1"), "--tol", "1e-12"])

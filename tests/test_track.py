@@ -243,10 +243,60 @@ class TestTrackLoopEdges:
             return correct(tracker, *args)
 
         monkeypatch.setattr(track._Tracker, "correct", counted_correct)
-        res = track_loop(bypass_loop(fermat_cubic(), nodal_target(), 0.02))
+        # out and back past the crossings s = 0.654, 0.663 and 1 of the
+        # line to the nodal target, 0.0065 to 0.01 off each: the flexes
+        # move fast there and the gate refuses steps
+        f = fermat_cubic()
+        w = CubicForm(f.coeffs + (1.2 + 0.012j)
+                      * (nodal_target().coeffs - f.coeffs))
+        res = track_loop(Loop(f, (Line(f, w), Line(w, f))))
+        assert res.perm == Perm.identity()
         assert res.steps_refused > 0
         assert calls["correct"] == res.steps_taken + res.steps_refused
         assert 0 < res.min_step_taken <= track.INITIAL_STEP
+
+    def test_every_row_is_pinned_at_its_largest_coordinate(self,
+                                                           monkeypatch):
+        accept = track._Tracker.accept
+        charts = []
+
+        def checked_accept(tracker, *args):
+            accept(tracker, *args)
+            Z, rows = tracker.Z, np.arange(len(tracker.Z))
+            assert np.array_equal(tracker.chart,
+                                  np.argmax(np.abs(Z), axis=1))
+            assert np.abs(Z[rows, tracker.chart] - 1.0).max() < 1e-15
+            assert np.array_equal(tracker.eqs.free[:, 0],
+                                  (tracker.chart + 1) % 3)
+            charts.append(tracker.chart.copy())
+
+        monkeypatch.setattr(track._Tracker, "accept", checked_accept)
+        track_loop(bypass_loop(fermat_cubic(), nodal_target(), 0.02))
+        # the rule was exercised: some row changed its chart on the way
+        assert any(not np.array_equal(a, b)
+                   for a, b in zip(charts, charts[1:]))
+
+    def test_few_refused_steps_on_the_bypasses_of_a_line(self, monkeypatch):
+        results = []
+        tracked = track.track_loop
+
+        def recorded(*args, **kwargs):
+            results.append(tracked(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(track, "track_loop", recorded)
+        rng = np.random.default_rng(0)
+        delta = CubicForm(rng.standard_normal(10)
+                          + 1j * rng.standard_normal(10))
+        perms = line_bypass_permutations(fermat_cubic(), delta)
+        assert [p.cycle_type() for p in perms] == [(3, 3, 1, 1, 1)] * 12
+        prod = Perm.identity()
+        for p in perms:
+            prod = prod * p
+        assert prod == Perm.identity()
+        taken = sum(r.steps_taken for r in results)
+        refused = sum(r.steps_refused for r in results)
+        assert refused < 0.15 * (taken + refused)
 
 
 NODAL_TARGET_COEFFS = {(3, 0): 1.0, (2, 0): 1.0, (0, 2): -1.0}
