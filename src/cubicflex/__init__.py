@@ -16,11 +16,11 @@ from .forms import (CubicForm, ProjPoint, Pencil, Net, proj_distance,
                     hesse_pencil)
 from .locus import (InflectionPoint, InflectionSet, SingularPoint,
                     SingularSet, hesse_base_points, inflection_points,
-                    label_against, singular_points)
+                    label_against, singular_points, singular_sets)
 from .perms import (Perm, PermGroup, closure, conjugate_in_s9, coset_action,
                     hesse_group, local_cusp_group, verify_relations)
 from .strata import (Certificate, Crossing, NetCusp, PencilCrossings,
-                     StratumLabel, classify, discriminant_value,
+                     StratumLabel, classify, classify_all, discriminant_value,
                      net_cusp_members, pencil_crossings,
                      pencil_discriminant_fit)
 from .track import (Arc, Line, Loop, MonodromyResult, bypass_loop,
@@ -40,11 +40,12 @@ __all__ = [
     "hesse_pencil",
     "InflectionPoint", "InflectionSet", "SingularPoint", "SingularSet",
     "hesse_base_points", "inflection_points", "label_against",
-    "singular_points",
+    "singular_points", "singular_sets",
     "Perm", "PermGroup", "closure", "conjugate_in_s9", "coset_action",
     "hesse_group", "local_cusp_group", "verify_relations",
     "Certificate", "Crossing", "NetCusp", "PencilCrossings", "StratumLabel",
-    "classify", "discriminant_value", "net_cusp_members", "pencil_crossings",
+    "classify", "classify_all", "discriminant_value", "net_cusp_members",
+    "pencil_crossings",
     "pencil_discriminant_fit",
     "Arc", "Line", "Loop", "MonodromyResult", "bypass_loop", "circle_loop",
     "generate_global_monodromy", "line_bypass_permutations",

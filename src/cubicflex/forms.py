@@ -12,6 +12,7 @@ tensor contraction of the coefficients with three copies of M.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations, product
 
 import numpy as np
@@ -125,21 +126,22 @@ _HESSIAN_SCATTER[HESSIAN_TERMS[0], np.arange(HESSIAN_TERMS.shape[1])] = \
 
 def monomial_values(points, degree):
     """Rows of the values of the degree-2 (MONOMIALS2) or degree-3
-    (MONOMIALS) monomials at each point (batched): products of gathered
-    coordinates, with no complex powers."""
+    (MONOMIALS) monomials at each point (batched over any leading axes):
+    products of gathered coordinates, with no complex powers."""
     P = np.atleast_2d(np.asarray(points, dtype=complex))
     first, *rest = FACTORS[degree]
-    v = P.take(first, axis=1)
+    v = P.take(first, axis=-1)
     for k in rest:
-        v *= P.take(k, axis=1)
+        v *= P.take(k, axis=-1)
     return v
 
 
 def chart_points(x, free):
-    """Points (n, 3) whose coordinates free are the first two columns of x
-    and whose remaining coordinate is 1."""
+    """Points (n, 3) whose coordinates free, a pair (2,) for every row or
+    one pair per row (n, 2), are the first two columns of x and whose
+    remaining coordinate is 1."""
     z = np.ones((len(x), 3), dtype=complex)
-    z[:, free] = x[:, :2]
+    z[np.arange(len(x))[:, None], free] = x[:, :2]
     return z
 
 
@@ -150,8 +152,11 @@ def eval_coeffs(coeffs, points):
 
 
 def gradient_coeffs(coeffs):
-    """Coefficient vectors (3, 6) of the three partial derivatives."""
-    return DERIV @ np.asarray(coeffs, dtype=complex)
+    """Coefficient vectors (3, 6) of the three partial derivatives, of one
+    cubic or of each of a stack (..., 10).  Each is the product of one
+    coefficient and an integer, so a stack rounds as single calls do."""
+    return np.einsum('vmk,...k->...vm', DERIV,
+                     np.asarray(coeffs, dtype=complex))
 
 
 def eval_gradient(coeffs, points):
@@ -205,8 +210,10 @@ def hessian_directional(coeffs, direction):
 
 def third_partials(coeffs):
     """The constant third partials of a cubic: (3, 3, 3), indexed by
-    variable."""
-    return THIRD @ np.asarray(coeffs, dtype=complex)
+    variable; (..., 3, 3, 3) for a stack (..., 10), exact as in
+    gradient_coeffs."""
+    return np.einsum('uvwk,...k->...uvw', THIRD,
+                     np.asarray(coeffs, dtype=complex))
 
 
 def second_partials_matrix(coeffs, point):
@@ -370,6 +377,16 @@ class ProjPoint:
                 + ")")
 
 
+@cache
+def _wedge_pairs(n):
+    """The index pairs (i < j) of the 2x2 minors of n-vectors, read-only,
+    as every caller shares them."""
+    pairs = np.triu_indices(n, k=1)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
+
+
 def proj_distance(p, q):
     """Chordal distance on projective space (sine of the F-S angle).
 
@@ -377,19 +394,26 @@ def proj_distance(p, q):
     precision for nearly proportional vectors.  Works for coordinate
     vectors of any fixed length, so it also serves as the metric on
     coefficient space.  A 2-D q gives the distances from p to each of its
-    rows.
+    rows, and a 2-D p as well the matrix (len(p), len(q)) of distances
+    between their rows.
     """
-    p = np.asarray(p, dtype=complex).ravel()
+    p = np.asarray(p, dtype=complex)
+    pairwise = p.ndim > 1
+    P = p if pairwise else p.reshape(1, -1)
     q = np.asarray(q, dtype=complex)
-    Q = q.reshape(-1, len(p))
-    np_ = np.linalg.norm(p)
+    Q = q.reshape(-1, P.shape[1])
+    # the norm of a 1-D p is taken as a vector norm, as it always was
+    np_ = np.linalg.norm(P, axis=1) if pairwise else np.linalg.norm(p)
     nq = np.linalg.norm(Q, axis=1)
-    if np_ == 0.0 or np.any(nq == 0.0):
+    if np.any(np_ == 0.0) or np.any(nq == 0.0):
         raise DegenerateInputError("zero vector has no projective distance")
-    i, j = np.triu_indices(len(p), k=1)
-    wedge = p[i] * Q[:, j] - p[j] * Q[:, i]
-    d = np.minimum(1.0, np.linalg.norm(wedge, axis=1) / (np_ * nq))
-    return d if q.ndim > 1 else float(d[0])
+    i, j = _wedge_pairs(P.shape[1])
+    wedge = P[:, None, i] * Q[:, j] - P[:, None, j] * Q[:, i]
+    d = np.minimum(1.0, np.linalg.norm(wedge, axis=-1)
+                   / (np.reshape(np_, (-1, 1)) * nq))
+    if pairwise:
+        return d
+    return d[0] if q.ndim > 1 else float(d[0, 0])
 
 
 def greedy_distinct(points, radius, distance=proj_distance):

@@ -17,6 +17,9 @@ four points, found exactly by splitting a line pair of their pencil.
 A local normal-form analysis names each near-singular one (node / cusp /
 tacnode), and Gauss-Newton through the same core pins it on a system
 that is regular at its kind, deflated at a cusp or tacnode.
+singular_sets carries a whole stack of cubics through each of these
+steps at once, as stacked determinants, eigenvalues, SVDs and one Newton
+solve, and singular_points is its stack of one.
 """
 
 from __future__ import annotations
@@ -29,10 +32,9 @@ from .errors import (ChartError, CommonComponentError, DegenerateInputError,
                      MatchingError, NumericalError)
 from . import newton
 from .forms import (MONOMIAL_INDEX, CubicForm, ProjPoint,
-                    chart_points, eval_coeffs, eval_gradient,
-                    gradient_coeffs, greedy_distinct, monomial_values,
-                    proj_distance, second_partials_matrix, substitute_linear,
-                    third_partials)
+                    chart_points, eval_coeffs, gradient_coeffs,
+                    greedy_distinct, monomial_values, proj_distance,
+                    substitute_linear, third_partials)
 from .roots import all_roots, cubic_in_variable, resultant_on_chart
 
 
@@ -90,20 +92,21 @@ class InflectionSet:
 # ---------------------------------------------------------------------------
 # singular points
 
-def _cone_analysis(coeffs):
-    """SingularSet for a cone cubic (one with a vanishing directional
-    derivative), or None when the cubic is not a cone.
+# the two coordinates other than coordinate k, in increasing order: row k
+_FREE = np.array([[1, 2], [0, 2], [0, 1]])
+_NO_LINE_PAIR = ("no fixed pair of partial conics spans a pencil with a "
+                 "usable line pair")
+
+
+def _cone_analysis(coeffs, U, kdim):
+    """SingularSet for a cone cubic: one whose gradient coefficients (3, 6)
+    have a kernel of dimension kdim > 0, with left singular vectors U.
 
     A cone is a binary cubic in disguise -- three concurrent lines when
     reduced -- so its singular locus follows from the root pattern of
     that binary form: three distinct roots give an ordinary triple point
     at the vertex, while a repeated root means a whole singular line.
     """
-    G = gradient_coeffs(coeffs)                     # (3, 6)
-    U, s, _ = np.linalg.svd(G)
-    kdim = int(np.sum(s < 1e-10 * s[0]))
-    if kdim == 0:
-        return None
     if kdim >= 2:
         # the form depends on a single linear coordinate: a triple line
         v1, v2 = np.conj(U[:, 1]), np.conj(U[:, 2])
@@ -145,158 +148,190 @@ _CONIC_FRAMES = (np.random.default_rng(5).standard_normal((2, 2, 3, 2))
 
 
 def _binary_quadratic_roots(a, b, c):
-    """Root directions (u, v) of a u^2 + b uv + c v^2, numerically stable
-    for any coefficient pattern with at least one large coefficient."""
-    scale = max(abs(a), abs(b), abs(c))
-    if abs(a) < 1e-13 * scale and abs(c) < 1e-13 * scale:
-        return [(1.0 + 0j, 0.0 + 0j), (0.0 + 0j, 1.0 + 0j)]    # ~ b uv
+    """Root directions (..., 2, 2), rows (u, v), of a u^2 + b uv + c v^2
+    for complex arrays a, b, c of one shape, numerically stable for any
+    coefficient pattern with at least one large coefficient."""
+    a, b, c = np.broadcast_arrays(a, b, c)
+    scale = np.maximum(np.maximum(abs(a), abs(b)), abs(c))
+    split = (abs(a) < 1e-13 * scale) & (abs(c) < 1e-13 * scale)    # ~ b uv
     swap = abs(c) > abs(a)
-    if swap:
-        a, c = c, a
-    disc = np.sqrt(b * b - 4 * a * c)
-    q = -(b + disc) / 2 if abs(b + disc) >= abs(b - disc) else -(b - disc) / 2
-    if abs(q) < 1e-13 * scale:
-        roots = [-b / (2 * a)] * 2
-    else:
-        roots = [q / a, c / q]
-    dirs = [(r, 1.0 + 0j) for r in roots]
-    if swap:
-        dirs = [(v, u) for (u, v) in dirs]
+    a, c = np.where(swap, c, a), np.where(swap, a, c)
+    dirs = np.ones(a.shape + (2, 2), dtype=complex)
+    with np.errstate(divide='ignore', invalid='ignore'):
+        disc = np.sqrt(b * b - 4 * a * c)
+        plus, minus = b + disc, b - disc
+        q = np.where(abs(plus) >= abs(minus), plus, minus) / -2
+        double = abs(q) < 1e-13 * scale
+        half = -b / (2 * a)
+        dirs[..., 0, 0] = np.where(double, half, q / a)
+        dirs[..., 1, 0] = np.where(double, half, c / q)
+    dirs[swap] = dirs[swap, :, ::-1]
+    dirs[split] = np.eye(2)
     return dirs
 
 
 def _conic_candidates(conics, w):
-    """The (at most four) common points (n, 3) of the conics
-    Q1 = w[0] . conics and Q2 = w[1] . conics, or None when their pencil
-    has no usable line pair.  The points lie on each line pair Q1 + t Q2,
-    and each of its lines meets Q1 in two of them (Richter-Gebert,
-    Perspectives on Projective Geometry, 2011).
+    """For each row of conics (n, 3, 3, 3), the four common points (n, 4,
+    3) of the conics Q1 = w[0] . conics and Q2 = w[1] . conics, and
+    whether the row has them (n,): a row whose pencil has no usable line
+    pair has not.  The points lie on each line pair Q1 + t Q2, and each of
+    its lines meets Q1 in two of them (Richter-Gebert, Perspectives on
+    Projective Geometry, 2011).
     """
-    Q1, Q2 = np.tensordot(w, conics, axes=1)
+    Q1, Q2 = (w @ conics.reshape(-1, 3, 9)).reshape(-1, 2, 3, 3).swapaxes(0, 1)
     # det(Q1 + t Q2) is a cubic in t: one FFT of its values at the fourth
     # roots of unity gives the coefficients, ascending
     unit = 1j ** np.arange(4)
-    d = np.fft.fft(np.linalg.det(Q1 + unit[:, None, None] * Q2)) / 4
+    d = np.fft.fft(np.linalg.det(Q1[:, None] + unit[:, None, None]
+                                 * Q2[:, None])) / 4
     # Q1 or Q2 is itself a line pair when its weights sit at a singular
     # point, and then the singular point is a multiple base point
-    if min(abs(d[0]), abs(d[3])) < 1e-8 * np.abs(d).max():
-        return None
+    top = np.abs(d).max(axis=1)
+    ok = (np.minimum(abs(d[:, 0]), abs(d[:, 3])) >= 1e-8 * top) & (top > 0)
+    z = np.full((len(d), 4, 3), np.nan, dtype=complex)
+    live = np.flatnonzero(ok)
+    d, Q1, Q2 = d[live], Q1[live], Q2[live]
     # a root of multiplicity m comes back as a cluster of spread
-    # ~eps^(1/m) whose mean is accurate
-    t = np.roots(d[::-1])
-    near = np.abs(t[:, None] - t) < 1e-4 * (1 + np.abs(t[:, None]))
-    C = Q1 + ((near @ t) / near.sum(axis=1))[:, None, None] * Q2
+    # ~eps^(1/m) whose mean is accurate; the roots are the eigenvalues of
+    # the companion matrices, built as np.roots builds them
+    A = np.zeros((len(d), 3, 3), dtype=complex)
+    A[:, 0] = -d[:, 2::-1] / d[:, 3:]
+    A[:, [1, 2], [0, 1]] = 1.0
+    t = np.linalg.eigvals(A)
+    near = np.abs(t[:, :, None] - t[:, None]) < 1e-4 * (
+        1 + np.abs(t[:, :, None]))
+    mean = (near @ t[:, :, None])[:, :, 0] / near.sum(axis=2)
+    C = Q1[:, None] + mean[:, :, None, None] * Q2[:, None]
     # take the member most clearly of rank exactly 2
     _, s, Vh = np.linalg.svd(C)
-    usable = np.flatnonzero((s[:, 2] <= 1e-8 * s[:, 0])
-                            & (s[:, 1] > 1e-6 * s[:, 0]))
-    if len(usable) == 0:
-        return None
-    k = max(usable, key=lambda i: s[i, 1] / s[i, 0])
-    E = np.conj(Vh[k])      # E[2] is the vertex, E[:2] span a complement
-    z = []
-    G = E[:2] @ C[k] @ E[:2].T
-    for u, v in _binary_quadratic_roots(G[0, 0], 2 * G[0, 1], G[1, 1]):
-        L = np.array([E[2], u * E[0] + v * E[1]])
-        R = L @ Q1 @ L.T
-        z += [a * L[0] + b * L[1] for a, b in
-              _binary_quadratic_roots(R[0, 0], 2 * R[0, 1], R[1, 1])]
-    z = np.array(z)
-    return z / z[np.arange(len(z)), np.argmax(np.abs(z), axis=1), None]
+    usable = (s[..., 2] <= 1e-8 * s[..., 0]) & (s[..., 1] > 1e-6 * s[..., 0])
+    ok[live] = usable.any(axis=1)
+    rows = np.arange(len(d))
+    k = np.argmax(np.where(usable, s[..., 1] / s[..., 0], -np.inf), axis=1)
+    E = np.conj(Vh[rows, k])    # E[2] is the vertex, E[:2] span a complement
+    G = E[:, :2] @ C[rows, k] @ E[:, :2].swapaxes(1, 2)
+    uv = _binary_quadratic_roots(G[:, 0, 0], 2 * G[:, 0, 1], G[:, 1, 1])
+    L = np.empty((len(d), 2, 2, 3), dtype=complex)     # (n, line, 2, 3)
+    L[:, :, 0] = E[:, None, 2]
+    L[:, :, 1] = uv[..., :1] * E[:, None, 0] + uv[..., 1:] * E[:, None, 1]
+    R = L @ Q1[:, None] @ L.swapaxes(2, 3)
+    ab = _binary_quadratic_roots(R[..., 0, 0], 2 * R[..., 0, 1], R[..., 1, 1])
+    zs = (ab[..., :1] * L[:, :, None, 0]
+          + ab[..., 1:] * L[:, :, None, 1]).reshape(-1, 4, 3)
+    top = np.argmax(np.abs(zs), axis=2)
+    z[live] = zs / zs[rows[:, None], np.arange(4), top][..., None]
+    return z, ok
 
 
-def _singular_candidates(c):
-    """The common points of the first usable pair of fixed combinations
-    of the partial conics, as rows with largest coordinate 1, ordered by
-    their gradient residual, and those residuals."""
+def _singular_candidates(cs):
+    """For each cubic of cs (n, 10), the common points (n, 4, 3) of the
+    first usable pair of fixed combinations of its partial conics, with
+    largest coordinate 1 and ordered by their gradient residuals (n, 4),
+    and whether no pair was usable (n,); such a row holds NaN.  Only the
+    rows that the first pair fails go on to the next."""
+    conics = third_partials(cs)
+    z = np.full((len(cs), 4, 3), np.nan, dtype=complex)
+    todo = np.arange(len(cs))
     for w in _CONIC_FRAMES:
-        z = _conic_candidates(third_partials(c), w)
-        if z is not None:
-            res = np.abs(eval_gradient(c, z)).max(axis=1)
-            order = np.argsort(res)
-            return z[order], res[order]
-    raise NumericalError(
-        "no fixed pair of partial conics spans a pencil with a usable "
-        "line pair")
+        zw, ok = _conic_candidates(conics[todo], w)
+        z[todo[ok]] = zw[ok]
+        todo = todo[~ok]
+        if not len(todo):
+            break
+    res = np.abs(monomial_values(z, 2) @ gradient_coeffs(cs).swapaxes(1, 2)
+                 ).max(axis=2)
+    rows = np.arange(len(cs))[:, None]
+    order = np.argsort(res, axis=1)
+    failed = np.zeros(len(cs), dtype=bool)
+    failed[todo] = True
+    return z[rows, order], res[rows, order], failed
 
 
-def _cusp_jet(cs, a, b):
-    """A function of the rows x = (z_a, z_b, p_1, ...) for the member
-    cs[0] + sum_k p_k cs[k], the third coordinate pinned to 1.
+# the residuals that pin each kind: {f_a, f_b}, then det H2, then the
+# two minors H2[i] ^ grad det H2
+_PIN_ROWS = {'node': 2, 'cusp': 3, 'tacnode': 5}
 
-    It gives the residuals {f, f_a, f_b, det H2} (n, 4), their Jacobian
-    in x, and the full gradient; det H2 is the (a, b) minor of the second
-    partials, and its derivatives in z use the constant third partials.
+
+def _pin(coeffs, p, kinds, iters=8):
+    """The singular points near the rows of p (m, 3) on the cubics of
+    coeffs (m, 10), of the given kinds, by Gauss-Newton on a system that
+    is regular there, in the chart of the row's largest coordinate, with
+    (a, b) the other two: {f_a, f_b} at a node.  At a cusp that system is
+    singular, and deflation adds det H2, the (a, b) minor of the second
+    partials (Leykin, Verschelde and Zhao, TCS 2006); at a tacnode that is
+    singular too, and a second deflation adds its 2x2 minors H2[i] ^ grad
+    det H2.  All rows are solved at once.  A row keeps its point for any
+    other kind, or when its solve fails.
     """
-    thirds = np.stack([third_partials(c) for c in cs], axis=-1)
-
-    def jet(x):
-        z = chart_points(x, [a, b])
-        w = np.concatenate([np.ones((len(x), 1)), x[:, 2:]], axis=1)
-        Mk = np.stack([second_partials_matrix(c, z) for c in cs], axis=-1)
-        # by Euler's relation grad f = M z / 2 and f = z . grad f / 3
-        gk = 0.5 * np.einsum('nijk,nj->nik', Mk, z)
-        fk = np.einsum('nik,ni->nk', gk, z) / 3
-        g = np.einsum('nik,nk->ni', gk, w)
-        M = np.einsum('nijk,nk->nij', Mk, w)
-        T = np.einsum('ijlk,nk->nijl', thirds, w)
-
-        def ddet2(dM):
-            return (dM[:, a, a] * M[:, b, b] + M[:, a, a] * dM[:, b, b]
-                    - 2 * M[:, a, b] * dM[:, a, b])
-
-        det2 = M[:, a, a] * M[:, b, b] - M[:, a, b] ** 2
-        r = np.stack([(fk * w).sum(axis=1), g[:, a], g[:, b], det2], axis=1)
-        J = np.stack([
-            np.column_stack([g[:, a], g[:, b], fk[:, 1:]]),
-            np.column_stack([M[:, a, a], M[:, a, b], gk[:, a, 1:]]),
-            np.column_stack([M[:, b, a], M[:, b, b], gk[:, b, 1:]]),
-            np.column_stack([ddet2(T[..., a]), ddet2(T[..., b])]
-                            + [ddet2(Mk[..., k]) for k in range(1, len(cs))]),
-        ], axis=1)
-        return r, J, g
-
-    return jet
-
-
-def _pin(coeffs, p, kind, iters=8):
-    """The singular point near p, of the given kind, by Gauss-Newton on a
-    system that is regular there: {f_a, f_b} at a node.  At a cusp that
-    system is singular, and deflation adds det H2 (Leykin, Verschelde and
-    Zhao, TCS 2006); at a tacnode that is singular too, and a second
-    deflation adds its 2x2 minors H2[i] ^ grad det H2.  Returns p for any
-    other kind, or when the solve fails.
-    """
-    rows = {'node': 2, 'cusp': 3, 'tacnode': 5}.get(kind)
-    if rows is None:
-        return p
-    chart = int(np.argmax(np.abs(p)))
-    a, b = [v for v in range(3) if v != chart]
-    jet = _cusp_jet([coeffs], a, b)
-    t = third_partials(coeffs)[np.ix_([a, b], [a, b], [a, b])]
+    q = np.array(p, dtype=complex)
+    nres = np.array([_PIN_ROWS.get(k, 0) for k in kinds])
+    live = np.flatnonzero(nres)
+    if not len(live):
+        return q
+    p, nres = q[live], nres[live]
+    n = np.arange(len(p))[:, None]
+    chart = np.argmax(np.abs(p), axis=1)
+    free = _FREE[chart]
+    T = third_partials(coeffs[live])
+    a, b = free[:, :, None, None], free[:, None, :, None]
+    t = T[n[:, :, None, None], a, b, free[:, None, None, :]]   # (m, 2, 2, 2)
     # the constant second derivatives of det H2 in (z_a, z_b)
-    hD = (np.outer(t[0, 0], t[1, 1]) + np.outer(t[1, 1], t[0, 0])
-          - 2 * np.outer(t[0, 1], t[0, 1]))
+    t00, t11, t01 = t[:, 0, 0], t[:, 1, 1], t[:, 0, 1]
+    hD = (t00[:, :, None] * t11[:, None] + t11[:, :, None] * t00[:, None]
+          - 2 * (t01[:, :, None] * t01[:, None]))
+    used = np.arange(5) < nres[:, None]
 
     def system(x):
-        r, J, _ = jet(x)
-        H, dD = J[:, 1:3], J[:, 3]
+        z = chart_points(x, free)
+        M = np.einsum('nl,nlij->nij', z, T)
+        g = 0.5 * np.einsum('nij,nj->ni', M, z)
+        H = M[n[:, :, None], free[:, :, None], free[:, None]]
+        dD = t00 * H[:, 1, 1, None] + H[:, 0, 0, None] * t11 \
+            - 2 * H[:, 0, 1, None] * t01
         m = H[:, :, 0] * dD[:, 1:] - H[:, :, 1] * dD[:, :1]
-        dm = (t[:, 0] * dD[:, 1, None, None] + H[:, :, :1] * hD[1]
-              - t[:, 1] * dD[:, 0, None, None] - H[:, :, 1:] * hD[0])
-        r = np.concatenate([r, m], axis=1)[:, 1:rows + 1]
-        J = np.concatenate([J, dm], axis=1)[:, 1:rows + 1]
+        dm = (t[:, :, 0] * dD[:, 1, None, None]
+              + H[:, :, :1] * hD[:, None, 1]
+              - t[:, :, 1] * dD[:, 0, None, None]
+              - H[:, :, 1:] * hD[:, None, 0])
+        det2 = H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] ** 2
+        r = np.where(used, np.concatenate(
+            [g[n, free], det2[:, None], m], axis=1), 0)
+        J = np.where(used[:, :, None], np.concatenate(
+            [H, dD[:, None], dm], axis=1), 0)
         JH = J.conj().swapaxes(1, 2)
         # the normal equations make a square system for the shared core
         return (JH @ r[:, :, None])[:, :, 0], JH @ J
 
-    z = p / p[chart]
-    x, _ = newton.solve(system, [[z[a], z[b]]], iters)
-    return chart_points(x, [a, b])[0] if np.isfinite(x).all() else p
+    x0 = (p / p[n[:, 0], chart, None])[n, free]
+    x, _ = newton.solve(system, x0, iters)
+    done = np.isfinite(x).all(axis=1)
+    q[live[done]] = chart_points(x[done], free[done])
+    return q
+
+
+def _is_singular(coeffs, p):
+    """The strict gate: the whole gradient of each cubic of coeffs (m, 10)
+    vanishes at the point of the same row of p (m, 3), scaled as ProjPoint
+    scales it."""
+    m = np.abs(p)
+    k = np.argmax(m >= (1 - 1e-9) * m.max(axis=1, keepdims=True), axis=1)
+    g = monomial_values(p / p[np.arange(len(p)), k, None], 2)[:, None] \
+        @ gradient_coeffs(coeffs).swapaxes(1, 2)
+    return np.abs(g[:, 0]).max(axis=1) < 1e-11
+
+
+def _first_error(results):
+    """results, unless some are exceptions: then the first of those is
+    raised."""
+    for r in results:
+        if isinstance(r, Exception):
+            raise r
+    return results
 
 
 def singular_points(f):
-    """All singular points of the cubic, with local type.
+    """All singular points of the cubic, with local type: singular_sets
+    of a stack of one.
 
     A cone (triple point or singular line) is read off its binary form.
     Otherwise the singular points are isolated common zeros of the three
@@ -305,87 +340,112 @@ def singular_points(f):
     local normal form and pinned on a system regular at its kind, and
     those where the whole gradient then vanishes are kept.
     """
-    fn = f.normalize() if isinstance(f, CubicForm) else CubicForm(f).normalize()
-    c = fn.coeffs
-    cone = _cone_analysis(c)
-    if cone is not None:
-        return cone
-    # a cusp or tacnode candidate can be off by ~1e-5, so a loose gate
-    # keeps the near-singular ones; the strict gate comes after pinning
-    z, res = _singular_candidates(c)
-    z = z[res < 1e-6]
-    pts = []
-    for p in z[greedy_distinct(z, 1e-3)]:
-        kind = _local_type(c, ProjPoint(p))
-        q = _pin(c, p, kind)
-        if kind == 'cusp' and not _is_singular(c, q):
-            # the rank cut of _local_type can name a badly conditioned
-            # node a cusp, and then the deflated system has no solution
-            kind, q = 'node', _pin(c, p, 'node')
-        if _is_singular(c, q):
-            pts.append(SingularPoint(ProjPoint(q), kind))
-    return SingularSet(points=tuple(pts))
+    fn = f if isinstance(f, CubicForm) else CubicForm(f)
+    return singular_sets([fn.coeffs])[0]
 
 
-def _is_singular(coeffs, p):
-    """The strict gate: the whole gradient vanishes at p."""
-    return np.abs(eval_gradient(coeffs, ProjPoint(p).coords)).max() < 1e-11
+def singular_sets(coeffs):
+    """singular_points of each cubic of coeffs (n, 10), each step taken
+    once for the whole stack; raises the error that singular_points
+    raises on the first cubic to fail."""
+    return _first_error(_singular_sets(coeffs))
+
+
+def _singular_sets(coeffs):
+    """singular_sets, with a failing cubic's NumericalError in its place."""
+    c = np.array([CubicForm(r).normalize().coeffs for r in coeffs]).reshape(
+        -1, 10)
+    out = [None] * len(c)
+    U, s, _ = np.linalg.svd(gradient_coeffs(c))
+    kdim = np.sum(s < 1e-10 * s[:, :1], axis=1)
+    for i in np.flatnonzero(kdim):
+        try:
+            out[i] = _cone_analysis(c[i], U[i], kdim[i])
+        except NumericalError as exc:
+            out[i] = exc
+    rest = np.flatnonzero(kdim == 0)
+    owner, p = [], []
+    for i, zi, ri, failed in zip(rest, *_singular_candidates(c[rest])):
+        out[i] = NumericalError(_NO_LINE_PAIR) if failed else []
+        # a cusp or tacnode candidate can be off by ~1e-5, so a loose gate
+        # keeps the near-singular ones; the strict gate comes after pinning
+        zi = zi[ri < 1e-6]
+        zi = zi[greedy_distinct(zi, 1e-3)]
+        owner += [i] * len(zi)
+        p += list(zi)
+    if owner:
+        cs, p = c[owner], np.array(p)
+        kinds = _local_type(cs, p)
+        q = _pin(cs, p, kinds)
+        # the rank cut of _local_type can name a badly conditioned node a
+        # cusp, and then the deflated system has no solution
+        redo = np.flatnonzero((kinds == 'cusp') & ~_is_singular(cs, q))
+        kinds[redo] = 'node'
+        q[redo] = _pin(cs[redo], p[redo], kinds[redo])
+        kept = _is_singular(cs, q)
+        for i, qi, kind in zip(np.array(owner)[kept], q[kept], kinds[kept]):
+            out[i].append(SingularPoint(ProjPoint(qi), str(kind)))
+    return [SingularSet(tuple(s)) if isinstance(s, list) else s for s in out]
 
 
 def local_expansion(coeffs, point, dir_u, dir_v):
-    """Exact coefficients e[i][j] of f(p + u*du + v*dv) in powers u^i v^j.
+    """Exact coefficients e[k, i, j] of f_k(p_k + u*du_k + v*dv_k) in powers
+    u^i v^j, for the cubics coeffs (m, 10) and the rows (m, 3) of point,
+    dir_u and dir_v.
 
     A cubic is its own Taylor expansion, and by Euler's relation every
     coefficient is a value, a directional derivative or a second
     derivative of f at p, du or dv; integer input stays exact.
     """
-    P = np.array([point, dir_u, dir_v], dtype=complex)
-    f = eval_coeffs(coeffs, P)
-    g = eval_gradient(coeffs, P)            # rows: grad f at p, du, dv
-    out = np.zeros((4, 4), dtype=complex)
-    out[0, 0], out[3, 0], out[0, 3] = f
-    out[1, 0], out[0, 1] = g[0] @ P[1], g[0] @ P[2]
-    out[2, 0], out[0, 2] = g[1] @ P[0], g[2] @ P[0]
-    out[2, 1], out[1, 2] = g[1] @ P[2], g[2] @ P[1]
-    out[1, 1] = P[1] @ second_partials_matrix(coeffs, P[0]) @ P[2]
+    c = np.asarray(coeffs, dtype=complex)
+    P = np.stack([point, dir_u, dir_v], axis=1).astype(complex)  # (m, 3, 3)
+    f = (monomial_values(P, 3) @ c[:, :, None])[:, :, 0]
+    # grad f at p, du and dv (rows) dotted with p, du and dv (columns)
+    gP = monomial_values(P, 2) @ gradient_coeffs(c).swapaxes(1, 2) \
+        @ P.swapaxes(1, 2)
+    out = np.zeros((len(P), 4, 4), dtype=complex)
+    out[:, 0, 0], out[:, 3, 0], out[:, 0, 3] = f.T
+    out[:, 1, 0], out[:, 0, 1] = gP[:, 0, 1], gP[:, 0, 2]
+    out[:, 2, 0], out[:, 0, 2] = gP[:, 1, 0], gP[:, 2, 0]
+    out[:, 2, 1], out[:, 1, 2] = gP[:, 1, 2], gP[:, 2, 1]
+    out[:, 1, 1] = np.einsum('nl,nlij,ni,nj->n', P[:, 0], third_partials(c),
+                             P[:, 1], P[:, 2])
     return out
 
 
-def _local_type(coeffs, point):
-    """Normal-form analysis of an isolated singular point."""
-    p = point.coords
-    chart = int(np.argmax(np.abs(p)))
-    free = [v for v in range(3) if v != chart]
-    du, dv = np.eye(3, dtype=complex)[free]
-    E = local_expansion(coeffs, p, du, dv)
+def _local_type(coeffs, points):
+    """Normal-form analysis of isolated singular points: the kind (m,) of
+    each row of points (m, 3) on the cubic of the same row of coeffs."""
+    free = _FREE[np.argmax(np.abs(points), axis=1)]
+    du, dv = np.eye(3, dtype=complex)[free.T]
+    E = local_expansion(coeffs, points, du, dv)
     # the type is read before the point is pinned, when a cusp or tacnode
     # can be off by ~1e-5; that error contaminates the expansion
     # coefficients
-    tol = 1e-4 * max(1.0, np.abs(E).max())
-    quad = np.array([[2 * E[2, 0], E[1, 1]], [E[1, 1], 2 * E[0, 2]]])
-    det2 = quad[0, 0] * quad[1, 1] - quad[0, 1] * quad[1, 0]
-    qscale = np.abs(quad).max()
+    tol = 1e-4 * np.maximum(1.0, np.abs(E).max(axis=(1, 2)))
+    quad = np.stack([2 * E[:, 2, 0], E[:, 1, 1], E[:, 1, 1],
+                     2 * E[:, 0, 2]], axis=1).reshape(-1, 2, 2)
+    det2 = quad[:, 0, 0] * quad[:, 1, 1] - quad[:, 0, 1] * quad[:, 1, 0]
+    qscale = np.abs(quad).max(axis=(1, 2))
     # an honest node has |det2| comparable to qscale**2, while a rank-one
     # quadratic part contaminated by point error sits many orders lower,
-    # so the rank cut can afford a generous margin
-    if qscale <= tol:
-        # a vanishing quadratic part makes a triple point, and a cubic
-        # with a triple point is a cone, which _cone_analysis takes
-        return 'degenerate'
-    if abs(det2) > 1e-5 * max(1.0, qscale) ** 2:
-        return 'node'
-    # rank one: rotate so the kernel of the quadratic part is the u-axis,
-    # then read off the lowest cubic terms
-    _, vecs = np.linalg.eigh(quad.conj().T @ quad)
-    kernel, normal = vecs[:, 0], vecs[:, 1]
-    du2 = kernel[0] * du + kernel[1] * dv
-    dv2 = normal[0] * du + normal[1] * dv
-    E2 = local_expansion(coeffs, p, du2, dv2)
-    if abs(E2[3, 0]) > tol:
-        return 'cusp'
-    if abs(E2[2, 1]) > tol:
-        return 'tacnode'
-    return 'degenerate'
+    # so the rank cut can afford a generous margin.  A vanishing quadratic
+    # part makes a triple point, and a cubic with a triple point is a
+    # cone, which _cone_analysis takes
+    kind = np.where(qscale <= tol, 'degenerate', np.where(
+        abs(det2) > 1e-5 * np.maximum(1.0, qscale) ** 2, 'node', 'rank one'))
+    one = np.flatnonzero(kind == 'rank one')
+    if len(one):
+        # rotate so the kernel of the quadratic part is the u-axis, then
+        # read off the lowest cubic terms
+        Q = quad[one]
+        _, vecs = np.linalg.eigh(Q.conj().swapaxes(1, 2) @ Q)
+        du2 = vecs[:, :1, 0] * du[one] + vecs[:, 1:, 0] * dv[one]
+        dv2 = vecs[:, :1, 1] * du[one] + vecs[:, 1:, 1] * dv[one]
+        E2 = local_expansion(coeffs[one], points[one], du2, dv2)
+        kind[one] = np.where(abs(E2[:, 3, 0]) > tol[one], 'cusp', np.where(
+            abs(E2[:, 2, 1]) > tol[one], 'tacnode', 'degenerate'))
+    return kind
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,15 @@
 classify() places a cubic into one of the nine equisingular classes
 (smooth, one/two/three nodes, cusp, tacnode, triple point, double line,
 triple line) with a certificate tying the component structure to the
-observed singular points.
+observed singular points.  classify_all() does the same for a sequence
+of cubics on one locus.singular_sets pass; classify() is its list of
+one.
 
-pencil_crossings() refines each root of an interpolated degree-12
-discriminant polynomial of a pencil by Newton on the gradient system in
-(point, parameter).  The roots that reach a crossing are its
-multiplicity, which the class of its member must bear out.
+pencil_crossings() refines every root of an interpolated degree-12
+discriminant polynomial of a pencil, of both charts at once, by one
+Newton solve on the gradient system in (point, parameter).  The roots
+that reach a crossing are its multiplicity, which the class of its
+member must bear out; the distinct members are classified together.
 
 net_cusp_members() finds the cuspidal members of a two-parameter net by
 a four-equation multistart Newton.
@@ -29,10 +32,12 @@ from . import newton
 from .errors import CrossingError, NumericalError
 from .forms import (EXP2, MONOMIAL_INDEX, CubicForm, ProjPoint,
                     chart_points, eval_coeffs, eval_gradient,
-                    gradient_coeffs, greedy_distinct, proj_distance,
-                    second_partials_matrix, substitute_linear)
-from .locus import (SingularSet, _binary_quadratic_roots, _cusp_jet,
-                    _singular_candidates, local_expansion, singular_points)
+                    gradient_coeffs, greedy_distinct, monomial_values,
+                    proj_distance, second_partials_matrix, substitute_linear,
+                    third_partials)
+from .locus import (_FREE, _NO_LINE_PAIR, SingularSet,
+                    _binary_quadratic_roots, _first_error,
+                    _singular_candidates, _singular_sets, local_expansion)
 from .roots import UniPoly, all_roots
 
 NET_SEED = 20240919
@@ -97,14 +102,17 @@ def _certificate(label, sing, notes=""):
 # ---------------------------------------------------------------------------
 # division and factor tests
 
+# the entries of q -> ell*q: quadric monomial j times z_v is cubic
+# monomial row, and no two (row, j) pairs coincide
+_LINE_ROW, _LINE_COL, _LINE_VAR = np.array(
+    [(MONOMIAL_INDEX[(e2[0] + (v == 0), e2[1] + (v == 1))], j, v)
+     for j, e2 in enumerate(EXP2) for v in range(3)]).T
+
+
 def _line_multiplication_matrix(ell):
     """The 10x6 matrix of q -> ell*q from quadrics to cubics."""
     L = np.zeros((10, 6), dtype=complex)
-    for j, e2 in enumerate(EXP2):
-        for v in range(3):
-            e3 = list(e2)
-            e3[v] += 1
-            L[MONOMIAL_INDEX[(e3[0], e3[1])], j] += ell[v]
+    L[_LINE_ROW, _LINE_COL] += ell[_LINE_VAR]
     return L
 
 
@@ -120,20 +128,17 @@ def line_division_residual(coeffs, ell):
     return float(np.linalg.norm(c - L @ q) / np.linalg.norm(c))
 
 
-def _branch_tangents(coeffs, node):
-    """The two tangent lines (dual coefficient vectors) at a node."""
-    p = node.coords
-    chart = int(np.argmax(np.abs(p)))
-    free = [v for v in range(3) if v != chart]
-    du, dv = np.eye(3, dtype=complex)[free]
-    E = local_expansion(coeffs, p, du, dv)
+def _branch_tangents(coeffs, nodes):
+    """The two tangent lines (m, 2, 3) (dual coefficient vectors) at the
+    nodes (m, 3) of the cubics coeffs (m, 10)."""
+    free = _FREE[np.argmax(np.abs(nodes), axis=1)]
+    du, dv = np.eye(3, dtype=complex)[free.T]
+    E = local_expansion(coeffs, nodes, du, dv)
     # quadratic part E20 u^2 + E11 uv + E02 v^2 factors into the two
     # branch directions
-    lines = []
-    for (uu, vv) in _binary_quadratic_roots(E[2, 0], E[1, 1], E[0, 2]):
-        d = uu * du + vv * dv
-        lines.append(np.cross(p, d))
-    return lines
+    uv = _binary_quadratic_roots(E[:, 2, 0], E[:, 1, 1], E[:, 0, 2])
+    return np.cross(nodes[:, None], uv[..., :1] * du[:, None]
+                    + uv[..., 1:] * dv[:, None])
 
 
 def _is_perfect_cube(coeffs, line):
@@ -152,43 +157,72 @@ def classify(f):
     """Equisingular class of a cubic, with a certificate.
 
     Returns (StratumLabel, Certificate).  Raises NumericalError
-    ("unclassifiable") when the structural tests conflict.
+    ("unclassifiable") when the structural tests conflict.  This is
+    classify_all on a list of one.
     """
-    fn = f if isinstance(f, CubicForm) else CubicForm(f)
-    fn = fn.normalize()
-    sing = singular_points(fn)
+    return classify_all([f])[0]
+
+
+def classify_all(forms):
+    """classify() of each cubic of a sequence: the singular points of all
+    of them come from one locus.singular_sets pass, and the branch
+    tangents at every lone node from one stacked expansion.  Raises the
+    error that classify() raises on the first cubic to fail."""
+    return _first_error(_classified(forms))
+
+
+def _classified(forms):
+    """classify_all, with a failing cubic's NumericalError in its place."""
+    fns = [(f if isinstance(f, CubicForm) else CubicForm(f)).normalize()
+           for f in forms]
+    sets = _singular_sets([fn.coeffs for fn in fns])
+    nodal = [k for k, s in enumerate(sets) if isinstance(s, SingularSet)
+             and s.local_types() == ('node',)]
+    tangents = dict(zip(nodal, _branch_tangents(
+        np.array([fns[k].coeffs for k in nodal]),
+        np.array([sets[k].points[0].point.coords for k in nodal])))) \
+        if nodal else {}
+    out = []
+    for k, (fn, sing) in enumerate(zip(fns, sets)):
+        try:
+            # a failed singular-point search re-raises its error here
+            sing_set = _first_error([sing])[0]
+            label, note = _label(fn, sing_set, tangents.get(k))
+            out.append((label, _certificate(label, sing, note)))
+        except NumericalError as exc:
+            out.append(exc)
+    return out
+
+
+# the strata of cubics with isolated singular points, by their types
+_BY_TYPES = {(): StratumLabel.SMOOTH, ('node',): StratumLabel.B1,
+             ('node', 'node'): StratumLabel.B21,
+             ('node', 'node', 'node'): StratumLabel.B31,
+             ('cusp',): StratumLabel.B22, ('tacnode',): StratumLabel.B32,
+             ('triple',): StratumLabel.B4}
+
+
+def _label(fn, sing, tangents):
+    """The stratum of a normalized cubic with singular set sing, and the
+    certificate's note; tangents are the branch tangents at a lone node."""
     if sing.singular_line is not None:
-        if _is_perfect_cube(fn.coeffs, sing.singular_line):
-            return StratumLabel.B7, _certificate(StratumLabel.B7, sing)
-        return StratumLabel.B5, _certificate(StratumLabel.B5, sing)
-    types = sing.local_types()
-    if types == ():
-        return StratumLabel.SMOOTH, _certificate(StratumLabel.SMOOTH, sing)
-    if types == ('node',):
-        # irreducible unless a branch tangent at the node is a component
-        residuals = [line_division_residual(fn.coeffs, ell)
-                     for ell in _branch_tangents(fn.coeffs,
-                                                 sing.points[0].point)]
-        if min(residuals) < 1e-8:
-            raise NumericalError(
-                "unclassifiable: one node found but a branch tangent "
-                f"divides the cubic (residuals {residuals}); a second "
-                "singular point was likely missed")
-        note = ("branch tangent division residuals "
-                f"{residuals[0]:.2e}, {residuals[1]:.2e}")
-        return StratumLabel.B1, _certificate(StratumLabel.B1, sing, note)
-    if types == ('node', 'node'):
-        return StratumLabel.B21, _certificate(StratumLabel.B21, sing)
-    if types == ('node', 'node', 'node'):
-        return StratumLabel.B31, _certificate(StratumLabel.B31, sing)
-    if types == ('cusp',):
-        return StratumLabel.B22, _certificate(StratumLabel.B22, sing)
-    if types == ('tacnode',):
-        return StratumLabel.B32, _certificate(StratumLabel.B32, sing)
-    if types == ('triple',):
-        return StratumLabel.B4, _certificate(StratumLabel.B4, sing)
-    raise NumericalError(
-        f"unclassifiable: singular point types {types} match no stratum")
+        perfect = _is_perfect_cube(fn.coeffs, sing.singular_line)
+        return (StratumLabel.B7 if perfect else StratumLabel.B5), ""
+    label = _BY_TYPES.get(sing.local_types())
+    if label is None:
+        raise NumericalError(f"unclassifiable: singular point types "
+                             f"{sing.local_types()} match no stratum")
+    if label is not StratumLabel.B1:
+        return label, ""
+    # irreducible unless a branch tangent at the node is a component
+    residuals = [line_division_residual(fn.coeffs, ell) for ell in tangents]
+    if min(residuals) < 1e-8:
+        raise NumericalError(
+            "unclassifiable: one node found but a branch tangent "
+            f"divides the cubic (residuals {residuals}); a second "
+            "singular point was likely missed")
+    return label, ("branch tangent division residuals "
+                   f"{residuals[0]:.2e}, {residuals[1]:.2e}")
 
 
 # ---------------------------------------------------------------------------
@@ -200,36 +234,36 @@ MON4_INDEX = {m: n for n, m in enumerate(MON4)}
 
 
 def _macaulay_structure():
-    """Row plan: for each degree-4 monomial, which quadric times which
-    degree-2 multiplier produces it, plus the scatter columns."""
-    rows = []
-    for alpha in MON4:
+    """Scatter plan: for each degree-4 monomial (a row), which quadric
+    times which degree-2 multiplier produces it; entry k of the plan puts
+    coefficient term[k] of quadric eq[k] at (row[k], col[k])."""
+    plan = []
+    for r, alpha in enumerate(MON4):
         if alpha[0] >= 2:
             eq, mult = 0, (alpha[0] - 2, alpha[1], alpha[2])
         elif alpha[1] >= 2:
             eq, mult = 1, (alpha[0], alpha[1] - 2, alpha[2])
         else:
             eq, mult = 2, (alpha[0], alpha[1], alpha[2] - 2)
-        cols = []
-        for e2 in EXP2:
+        for k, e2 in enumerate(EXP2):
             tgt = (mult[0] + e2[0], mult[1] + e2[1],
                    mult[2] + (2 - e2[0] - e2[1]))
-            cols.append(MON4_INDEX[tgt])
-        rows.append((eq, np.array(cols)))
+            plan.append((r, MON4_INDEX[tgt], eq, k))
     reduced2 = [MON4_INDEX[m] for m in ((2, 2, 0), (2, 0, 2), (0, 2, 2))]
-    return rows, np.array(reduced2)
+    return np.array(plan).T, np.array(reduced2)
 
 
-_MACAULAY_ROWS, _MACAULAY_MINOR = _macaulay_structure()
+_MACAULAY_PLAN, _MACAULAY_MINOR = _macaulay_structure()
 
 
 def _macaulay_dets(Q):
     """(det of the 15x15 elimination matrix, det of its extraneous 3x3
-    minor) for three quadrics given as a (3, 6) coefficient array."""
-    M = np.zeros((15, 15), dtype=complex)
-    for r, (eq, cols) in enumerate(_MACAULAY_ROWS):
-        M[r, cols] = Q[eq]
-    minor = M[np.ix_(_MACAULAY_MINOR, _MACAULAY_MINOR)]
+    minor) for three quadrics given as a (..., 3, 6) coefficient array,
+    each stacked matrix a determinant of its own."""
+    row, col, eq, term = _MACAULAY_PLAN
+    M = np.zeros(Q.shape[:-2] + (15, 15), dtype=complex)
+    M[..., row, col] = Q[..., eq, term]
+    minor = M[..., _MACAULAY_MINOR[:, None], _MACAULAY_MINOR]
     return np.linalg.det(M), np.linalg.det(minor)
 
 
@@ -250,15 +284,11 @@ def _pencil_discriminant_samples(c0, c1, radius):
     """Discriminant values at sample parameters on a circle."""
     n = DISCRIMINANT_SAMPLES
     us = radius * np.exp(2j * np.pi * np.arange(n) / n)
-    g0 = gradient_coeffs(c0)
-    g1 = gradient_coeffs(c1)
-    vals = np.empty(n, dtype=complex)
-    for k, u in enumerate(us):
-        det15, det3 = _macaulay_dets(g0 + u * g1)
-        if abs(det3) < 1e-120:
-            return None
-        vals[k] = det15 / det3
-    return vals
+    det15, det3 = _macaulay_dets(gradient_coeffs(c0)
+                                 + us[:, None, None] * gradient_coeffs(c1))
+    if (abs(det3) < 1e-120).any():
+        return None
+    return det15 / det3
 
 
 def _fixed_unitaries():
@@ -347,35 +377,64 @@ class PencilCrossings:
         return tuple(c.label for c in self.crossings)
 
 
-def _crossing_newton(pencil, chart, r, iters=80):
-    """Newton on {grad F(u, z) = 0} in (z_free, u) from the fitted root
-    u = r of a chart and the best singular-point candidate of the member
-    there.  Returns the crossing's parameter (t1, t2) and point."""
-    c0, c1 = _chart_pair(pencil, chart)
-    z0 = _singular_candidates(c0 + r * c1)[0][0]
-    free = [v for v in range(3) if v != np.argmax(np.abs(z0))]
+def _crossing_newton(pencil, charts, roots, iters=80):
+    """Newton on {grad F(u, z) = 0} in (z_free, u) from each fitted root
+    u = roots[k] of the chart charts[k] and the best singular-point
+    candidate of the member there, all rows in one solve, each with its
+    own chart pair and free coordinates.  Returns the crossings'
+    parameters (t1, t2) (n, 2) and points (n, 3); raises for the first
+    root whose candidate search or Newton run fails."""
+    first = (charts == 0)[:, None]
+    f0, f1 = pencil.f0.coeffs, pencil.f1.coeffs
+    c0, c1 = np.where(first, f0, f1), np.where(first, f1, f0)
+    z0, _, failed = _singular_candidates(c0 + roots[:, None] * c1)
+    free = _FREE[np.argmax(np.abs(z0[:, 0]), axis=1)]
+    n = np.arange(len(roots))[:, None]
+    T0, T1 = third_partials(c0), third_partials(c1)
+    best = np.column_stack([z0[n, 0, free], roots])
+    least = np.full(len(roots), np.inf)
 
     def system(x):
         z, u = chart_points(x, free), x[:, 2]
-        M1 = second_partials_matrix(c1, z)
-        M = second_partials_matrix(c0, z) + u[:, None, None] * M1
+        M1 = np.einsum('nl,nlij->nij', z, T1)
+        M = np.einsum('nl,nlij->nij', z, T0) + u[:, None, None] * M1
         # gradients by Euler's relation: grad f = M z / 2 for a cubic
         g1 = 0.5 * (M1 @ z[:, :, None])
-        J = np.concatenate([M[:, :, free], g1], axis=2)
-        return 0.5 * (M @ z[:, :, None])[:, :, 0], J
+        J = np.concatenate([np.take_along_axis(M, free[:, None], axis=2),
+                            g1], axis=2)
+        r = 0.5 * (M @ z[:, :, None])[:, :, 0]
+        # at a crossing of multiplicity above one the Jacobian is singular:
+        # the iterates converge linearly, then wander over residuals from
+        # 1e-12 to 1e-9, so each row keeps its iterate of least residual
+        size = np.abs(r).max(axis=1)
+        better = size < least
+        least[better], best[better] = size[better], x[better]
+        return r, J
 
-    x, _ = newton.solve(system, [[*z0[free], r]], iters)
-    z, u = chart_points(x, free)[0], x[0, 2]
-    res = np.abs(eval_gradient(c0, z) + u * eval_gradient(c1, z)).max()
-    t, t_fit = (np.array([1, u]), np.array([1, r])) if chart == 0 else (
-        np.array([u, 1]), np.array([r, 1]))
-    # a fitted root is good to about 1e-3 even where a double root splits
-    if not res < 1e-9 * max(np.abs(z).max() ** 2, 1) * (1 + abs(u)) or (
-            proj_distance(t, t_fit) > 0.02):
-        raise CrossingError(
-            f"Newton from the fitted discriminant root {t_fit} did not "
-            "converge to a crossing near it")
-    return t, z
+    system(newton.solve(system, best, iters)[0])
+    z, u = chart_points(best, free), best[:, 2]
+    grad = monomial_values(z, 2)[:, None] @ gradient_coeffs(
+        c0 + u[:, None] * c1).swapaxes(1, 2)
+    # a fitted root is good to about 1e-3 even where a double root splits;
+    # on either chart the chordal distance of the parameters is
+    # |u - r| / sqrt((1 + |u|^2)(1 + |r|^2))
+    good = (np.abs(grad[:, 0]).max(axis=1) < 1e-9 * np.maximum(
+        np.abs(z).max(axis=1) ** 2, 1) * (1 + abs(u))) & (
+        abs(u - roots) <= 0.02 * np.sqrt((1 + abs(u) ** 2)
+                                         * (1 + abs(roots) ** 2)))
+
+    def param(v):
+        return np.where(first, np.stack([np.ones_like(v), v], axis=1),
+                        np.stack([v, np.ones_like(v)], axis=1))
+
+    for k in range(len(roots)):
+        if failed[k]:
+            raise NumericalError(_NO_LINE_PAIR)
+        if not good[k]:
+            raise CrossingError(
+                f"Newton from the fitted discriminant root {param(roots)[k]} "
+                "did not converge to a crossing near it")
+    return param(u), z
 
 
 def pencil_crossings(pencil):
@@ -384,11 +443,14 @@ def pencil_crossings(pencil):
     Every root of the interpolated degree-12 discriminant is a crossing
     parameter: those with |u| <= 1 from the chart f0 + u f1, the rest from
     the chart v f0 + f1.  A singular f1 is the crossing at infinity, with
-    the degree drop of the first chart as its multiplicity.  Each other
-    root is refined by Newton on the gradient system in (point,
-    parameter), roots that reach the same crossing count towards its
-    multiplicity, and each crossing's class must bear that multiplicity
-    out; else CrossingError.
+    the degree drop of the first chart as its multiplicity.  The other
+    roots of both charts are seeded from one stacked singular-point
+    candidate search and refined together by one Newton solve on the
+    gradient system in (point, parameter).  Roots that reach the same
+    crossing count towards its multiplicity, and the distinct crossings'
+    members are classified in one classify_all pass; each class must
+    bear its multiplicity out, else CrossingError.  A failure is reported
+    for the first root, then the first crossing, that fails.
     """
     fit = pencil_discriminant_fit(pencil, chart=0)
     scale0 = max(pencil.f0.scale(), pencil.f1.scale()) ** 12
@@ -408,16 +470,23 @@ def pencil_crossings(pencil):
         # smallest roots of the second chart sit
         m = 12 - poly.degree
         roots1 = roots1[m:]
-        crossings.append(_crossing(pencil, 1, [0.0, 1.0], m,
-                                   classified=at_infinity))
-    refined = [(chart, *_crossing_newton(pencil, chart, r))
-               for chart, roots in ((0, roots0), (1, roots1)) for r in roots]
-    ts = np.array([t for _, t, _ in refined]).reshape(-1, 2)
+        t = np.array([0.0, 1.0])
+        crossings.append(_crossing(pencil, 1, t, m, pencil.member(t),
+                                   at_infinity))
+    charts = np.repeat([0, 1], [len(roots0), len(roots1)])
+    ts, zs = _crossing_newton(pencil, charts,
+                              np.concatenate([roots0, roots1]))
     kept = greedy_distinct(ts, 1e-6)
-    owner = [int(np.argmin(proj_distance(t, ts[kept]))) for t in ts]
-    for k, m in zip(kept, np.bincount(owner, minlength=len(kept))):
-        chart, t, z = refined[k]
-        crossings.append(_crossing(pencil, chart, t, int(m), near=z))
+    owner = np.argmin(proj_distance(ts, ts[kept]), axis=1) if kept else []
+    params = [_canonical(ts[k]) for k in kept]
+    members = [pencil.member(t) for t in params]
+    for k, t, member, m, classified in zip(
+            kept, params, members, np.bincount(owner, minlength=len(kept)),
+            _classified(members)):
+        if isinstance(classified, Exception):
+            raise classified
+        crossings.append(_crossing(pencil, charts[k], t, int(m), member,
+                                   classified, near=zs[k]))
     total = sum(c.multiplicity for c in crossings)
     if total != 12:
         raise CrossingError(
@@ -430,18 +499,20 @@ def pencil_crossings(pencil):
                            crossings=tuple(crossings))
 
 
-def _crossing(pencil, chart, t, m, near=None, classified=None):
-    """The crossing at the parameter t that m fitted roots on a chart
-    reach.  Its member is classified once (or `classified` is its class),
-    and the class must bear m out, else CrossingError: m is at least the
+def _canonical(t):
+    """The parameter t as (1, u) on the finite chart, (0, 1) at infinity."""
+    finite = abs(t[0]) > 1e-9 * abs(t[1])
+    return np.array([1.0, t[1] / t[0]] if finite else [0.0, 1.0])
+
+
+def _crossing(pencil, chart, t, m, member, classified, near=None):
+    """The crossing at the canonical parameter t, whose member is
+    classified as `classified`, that m fitted roots on a chart reach.
+    The class must bear m out, else CrossingError: m is at least the
     Milnor number mu, and above it only where the pencil is tangent to
     the discriminant.  The witness is the certified singular point
     nearest to `near`, or a point of the singular line."""
-    # canonical parameter: (1, u) on the finite chart, (0, 1) at infinity
-    finite = abs(t[0]) > 1e-9 * abs(t[1])
-    t = np.array([1.0, t[1] / t[0]] if finite else [0.0, 1.0])
-    member = pencil.member(t)
-    label, cert = classified or classify(member)
+    label, cert = classified
     if label is StratumLabel.SMOOTH:
         raise CrossingError("count mismatch: the member at the crossing "
                             f"{t} classifies as smooth")
@@ -483,6 +554,45 @@ class NetCusp(NamedTuple):
     beta: complex
     point: ProjPoint
     residuals: dict
+
+
+def _cusp_jet(cs, a, b):
+    """A function of the rows x = (z_a, z_b, p_1, ...) for the member
+    cs[0] + sum_k p_k cs[k], the third coordinate pinned to 1.
+
+    It gives the residuals {f, f_a, f_b, det H2} (n, 4), their Jacobian
+    in x, and the full gradient; det H2 is the (a, b) minor of the second
+    partials, and its derivatives in z use the constant third partials.
+    """
+    thirds = np.stack([third_partials(c) for c in cs], axis=-1)
+
+    def jet(x):
+        z = chart_points(x, [a, b])
+        w = np.concatenate([np.ones((len(x), 1)), x[:, 2:]], axis=1)
+        Mk = np.stack([second_partials_matrix(c, z) for c in cs], axis=-1)
+        # by Euler's relation grad f = M z / 2 and f = z . grad f / 3
+        gk = 0.5 * np.einsum('nijk,nj->nik', Mk, z)
+        fk = np.einsum('nik,ni->nk', gk, z) / 3
+        g = np.einsum('nik,nk->ni', gk, w)
+        M = np.einsum('nijk,nk->nij', Mk, w)
+        T = np.einsum('ijlk,nk->nijl', thirds, w)
+
+        def ddet2(dM):
+            return (dM[:, a, a] * M[:, b, b] + M[:, a, a] * dM[:, b, b]
+                    - 2 * M[:, a, b] * dM[:, a, b])
+
+        det2 = M[:, a, a] * M[:, b, b] - M[:, a, b] ** 2
+        r = np.stack([(fk * w).sum(axis=1), g[:, a], g[:, b], det2], axis=1)
+        J = np.stack([
+            np.column_stack([g[:, a], g[:, b], fk[:, 1:]]),
+            np.column_stack([M[:, a, a], M[:, a, b], gk[:, a, 1:]]),
+            np.column_stack([M[:, b, a], M[:, b, b], gk[:, b, 1:]]),
+            np.column_stack([ddet2(T[..., a]), ddet2(T[..., b])]
+                            + [ddet2(Mk[..., k]) for k in range(1, len(cs))]),
+        ], axis=1)
+        return r, J, g
+
+    return jet
 
 
 def _net_newton(net, zchart, starts_xy, iters=60):

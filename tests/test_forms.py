@@ -332,3 +332,23 @@ def test_proj_distance_scale_invariance():
     Q = np.array([q, (1 + 1j) * p, p + q])
     assert np.array_equal(proj_distance(p, Q),
                           [proj_distance(p, r) for r in Q])
+
+
+def test_proj_distance_minors_and_pairs():
+    rng = np.random.default_rng(16)
+    for n in (2, 3, 10):
+        p = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        Q = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+        Q[1] = (1 + 1e-9) * p
+        # the 2x2 minors written out, as before their index pairs were
+        # kept per length
+        i, j = np.triu_indices(n, k=1)
+        wedge = p[i] * Q[:, j] - p[j] * Q[:, i]
+        want = np.minimum(1.0, np.linalg.norm(wedge, axis=1)
+                          / (np.linalg.norm(p) * np.linalg.norm(Q, axis=1)))
+        assert np.array_equal(proj_distance(p, Q), want)
+        # a 2-D first argument gives every pair of rows
+        D = proj_distance(Q[:3], Q)
+        assert D.shape == (3, 4)
+        assert np.allclose(D, [proj_distance(r, Q) for r in Q[:3]],
+                           rtol=1e-14, atol=0)

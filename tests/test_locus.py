@@ -14,12 +14,14 @@ from cubicflex.errors import (CommonComponentError, MatchingError,
                               NumericalError)
 from cubicflex.forms import (EXP3, MONOMIALS, THIRD, CubicForm, ProjPoint,
                              cusp_family, fermat_cubic, hesse_pencil,
-                             node_family, proj_distance, triangle_cubic)
+                             node_family, proj_distance, third_partials,
+                             triangle_cubic)
 from cubicflex.locus import (InflectionSet, hesse_base_points,
                              inflection_points, label_against,
-                             nearest_labels, singular_points)
+                             nearest_labels, singular_points, singular_sets)
 from cubicflex.roots import cubic_in_variable
 from cubicflex.strata import StratumLabel, classify
+from cubicflex.verify import CLASSIFY_CORPUS
 
 W = np.exp(2j * np.pi / 3)
 
@@ -453,3 +455,67 @@ class TestLabelling:
         rows[1] = refs[0] + 1e-6
         with pytest.raises(MatchingError, match="two points matched reference 1"):
             nearest_labels(rows, refs, range(1, 10))
+
+
+def frame_weight_cases():
+    """The inputs of test_frame_with_weights_at_a_singular_point: nodal
+    cubics whose node sits at a weight vector of the first conic frame,
+    and three lines with nodes at weight points of both frames."""
+    (w1, w2), (v1, _) = locus._CONIC_FRAMES
+    rng = np.random.default_rng(0)
+    nodal = [node_family(1.0, 1.0, 0.0).transform(np.linalg.inv(
+        np.column_stack([rng.standard_normal(3), rng.standard_normal(3), w])))
+        for w in (w1, w2)]
+    r = rng.standard_normal((2, 3))
+    M = np.array([np.cross(w1, v1), np.cross(w1, r[0]), np.cross(v1, r[1])])
+    return nodal, triangle_cubic().transform(M)
+
+
+class TestSingularSets:
+    """singular_sets on one stack against singular_points row by row."""
+
+    def mixed_stack(self):
+        # the nine named cubics (those of test_strata's NAMED_CASES) and
+        # two Gaussian images of each, a smooth cubic, a cone and a cubic
+        # with a singular line, and rows that need the second conic frame
+        named = [make() for _, make, _ in CLASSIFY_CORPUS]
+        rng = np.random.default_rng(9)
+        return (named + [gaussian_image(f, key)[0] for f in named
+                         for key in (21, 22)]
+                + [CubicForm(rng.standard_normal(10)
+                             + 1j * rng.standard_normal(10)),
+                   from_mono({(2, 1): 1, (1, 2): -3}),
+                   from_mono({(2, 1): 1, (2, 0): 1})]
+                + frame_weight_cases()[0])
+
+    def test_stack_equals_single_calls(self):
+        stack = self.mixed_stack()
+        nodal = frame_weight_cases()[0]
+        first = locus._CONIC_FRAMES[0]
+        conics = third_partials([f.normalize().coeffs for f in nodal])
+        assert not locus._conic_candidates(conics, first)[1].any()
+        sets = singular_sets([f.coeffs for f in stack])
+        assert len(sets) == len(stack)
+        for f, got in zip(stack, sets):
+            want = singular_points(f)
+            assert got.local_types() == want.local_types()
+            # the same points, matched by type; candidates with equal
+            # residuals may come in either order
+            for sp in want.points:
+                assert min(proj_distance(sp.point.coords, g.point.coords)
+                           for g in got.points
+                           if g.local_type == sp.local_type) < 1e-12
+            assert (got.singular_line is None) == (want.singular_line is None)
+            if want.singular_line is not None:
+                assert proj_distance(got.singular_line,
+                                     want.singular_line) < 1e-12
+
+    def test_stack_raises_the_single_error(self):
+        bad = frame_weight_cases()[1]
+        with pytest.raises(NumericalError, match="usable line pair") as one:
+            singular_points(bad)
+        stack = [fermat_cubic(), node_family(1.0, 1.0, 0.0), bad,
+                 cusp_family(0.0)]
+        with pytest.raises(NumericalError) as stacked:
+            singular_sets([f.coeffs for f in stack])
+        assert str(stacked.value) == str(one.value)

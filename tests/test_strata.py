@@ -25,9 +25,13 @@ from cubicflex import (Certificate, CrossingError, CubicForm, Net,
                        node_family, pencil_crossings, pencil_discriminant_fit,
                        proj_distance, triangle_cubic)
 from cubicflex.errors import RootFindingError
-from cubicflex.forms import eval_gradient, greedy_distinct
+from cubicflex.forms import (EXP2, MONOMIAL_INDEX, eval_gradient,
+                             greedy_distinct)
 from cubicflex.roots import UniPoly, all_roots
-from cubicflex.strata import MILNOR, _crossing_newton
+from cubicflex.strata import (MILNOR, _crossing_newton,
+                              _line_multiplication_matrix, _macaulay_dets,
+                              classify_all)
+from cubicflex.verify import CLASSIFY_CORPUS
 
 M = CubicForm.from_monomials
 
@@ -95,7 +99,48 @@ class TestClassify:
             assert label is StratumLabel.SMOOTH
 
 
+    def test_classify_all_equals_classify(self):
+        rng = np.random.default_rng(31)
+        forms = [make() for _, make, _ in CLASSIFY_CORPUS]
+        forms += [f.transform(rng.standard_normal((3, 3))
+                              + 1j * rng.standard_normal((3, 3)))
+                  for f in forms]
+        got = classify_all(forms)
+        assert [label for label, _ in got] == [classify(f)[0] for f in forms]
+        assert [str(label) for label, _ in got[:9]] == [
+            want for _, _, want in CLASSIFY_CORPUS]
+        assert [cert.notes for _, cert in got] == [
+            classify(f)[1].notes for f in forms]
+
+    def test_line_multiplication_matrix_bitwise(self):
+        def loop(ell):
+            # the double loop the index table replaced
+            L = np.zeros((10, 6), dtype=complex)
+            for j, e2 in enumerate(EXP2):
+                for v in range(3):
+                    e3 = list(e2)
+                    e3[v] += 1
+                    L[MONOMIAL_INDEX[(e3[0], e3[1])], j] += ell[v]
+            return L
+
+        rng = np.random.default_rng(4)
+        for ell in [rng.standard_normal(3) + 1j * rng.standard_normal(3),
+                    np.array([1.0, -0.0, 0.5j]), np.array([-0.0j, 1, -2])]:
+            ell = np.asarray(ell, dtype=complex)
+            assert _line_multiplication_matrix(ell).tobytes() == \
+                loop(ell).tobytes()
+
+
 class TestDiscriminant:
+    def test_stacked_macaulay_determinants(self):
+        # one stacked det per size equals the per-matrix determinants
+        rng = np.random.default_rng(8)
+        Q = (rng.standard_normal((5, 3, 6))
+             + 1j * rng.standard_normal((5, 3, 6)))
+        det15, det3 = _macaulay_dets(Q)
+        for k in range(5):
+            assert (det15[k], det3[k]) == _macaulay_dets(Q[k])
+
     def test_fermat_value_exact(self):
         assert discriminant_value(fermat_cubic()) == pytest.approx(
             531441.0, rel=1e-10)
@@ -292,15 +337,16 @@ class TestDeduplication:
         (hesse_pencil(), 4), (fourth_pencil(4), 12), (fourth_pencil(5), 12)],
         ids=["hesse", "seed4", "seed5"])
     def test_crossing_hits_keep_reference_survivors(self, pencil, crossings):
-        # Newton from every fitted root of both charts reaches each
-        # crossing once from each chart (a Hesse triangle three times)
-        hits = []
+        # one Newton solve from every fitted root of both charts reaches
+        # each crossing once from each chart (a Hesse triangle three times)
+        charts, roots = [], []
         for chart in (0, 1):
             fit = pencil_discriminant_fit(pencil, chart)
-            for r in all_roots(UniPoly(fit, rel=1e-8),
-                               cluster_radius=0.0).roots:
-                hits.append(_crossing_newton(pencil, chart, r)[0])
-        hits = np.array(hits, dtype=complex)
+            r = all_roots(UniPoly(fit, rel=1e-8), cluster_radius=0.0).roots
+            charts += [chart] * len(r)
+            roots.append(r)
+        hits, _ = _crossing_newton(pencil, np.array(charts),
+                                   np.concatenate(roots))
         kept = greedy_distinct(hits, 1e-6)
         assert kept == reference_distinct(hits, 1e-6, proj_distance)
         assert len(kept) == crossings
