@@ -3,11 +3,13 @@
 Inside the discriminant hypersurface, the cuspidal cubics form a
 codimension-2 locus of degree 24.  A generic 2-plane of cubics (a net)
 therefore contains exactly 24 cuspidal members.  `net_cusp_members`
-finds them by a multistart Newton search on the full cusp condition
-(singular point with degenerate quadratic part), then checks the count
-is stable when the number of starts doubles.
+finds them from one eigensolve: a point where some member is singular
+with a degenerate quadratic part is a common zero of two plane curves,
+whose hidden-variable resultant is a matrix polynomial.  Newton on the
+full cusp condition polishes every eigenvalue's point, and a count other
+than 24 is refused.
 
-Run:  python3 demos/06_net_of_cubics.py   (takes ~10 seconds)
+Run:  python3 demos/06_net_of_cubics.py   (takes about a second)
 """
 
 import numpy as np
@@ -22,7 +24,7 @@ def random_cubic():
 
 
 net = Net(random_cubic(), random_cubic(), random_cubic())
-cusps = net_cusp_members(net, starts=2000)
+cusps = net_cusp_members(net)
 
 print(f"random net of cubics: {len(cusps)} cuspidal members found")
 print()

@@ -150,11 +150,9 @@ def cmd_pencil(args):
 
 
 def cmd_cusps(args):
-    cfg = _build_config(args)
     net = Net(_load_cubic(args.cubic0), _load_cubic(args.cubic1),
               _load_cubic(args.cubic2))
-    cusps = net_cusp_members(net, starts=args.starts or cfg["net_starts"],
-                             seed=cfg["seed"] + 19)
+    cusps = net_cusp_members(net)
     _dump({"count": len(cusps),
            "members": [{"alpha": _complex_pair(c.alpha),
                         "beta": _complex_pair(c.beta),
@@ -173,7 +171,11 @@ def cmd_invariants(args):
 
 
 def cmd_paper_verify(args):
-    records = run_suite(args.suite, _build_config(args))
+    cfg = _build_config(args)
+    if args.print_config:
+        print(json.dumps(cfg, indent=1, sort_keys=True))
+        return 0
+    records = run_suite(args.suite, cfg)
     command = shlex.join(sys.argv[1:]) if sys.argv[0].endswith(
         ("cubicflex", "cli.py")) else args.suite
     if args.out:
@@ -201,13 +203,6 @@ def cmd_paper_verify(args):
 def _add_common(sub):
     sub.add_argument("--json", action="store_true",
                      help="compact machine-readable output")
-
-
-def _add_config(sub):
-    sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--seed", type=int, help="seed override")
-    sub.add_argument("--print-config", action="store_true",
-                     help="print the effective configuration and exit")
 
 
 def build_parser():
@@ -251,9 +246,7 @@ def build_parser():
     p.add_argument("cubic0")
     p.add_argument("cubic1")
     p.add_argument("cubic2")
-    p.add_argument("--starts", type=int, help="multistart count")
     _add_common(p)
-    _add_config(p)
     p.set_defaults(fn=cmd_cusps)
 
     p = subs.add_parser("invariants", help="integer invariant chain")
@@ -263,8 +256,11 @@ def build_parser():
     p = subs.add_parser("paper-verify", help="run verification suites")
     p.add_argument("--suite", choices=SUITES + ("all",), default="all")
     p.add_argument("--out", help="write JSONL report here")
+    p.add_argument("--config", help="JSON config file")
+    p.add_argument("--seed", type=int, help="seed override")
+    p.add_argument("--print-config", action="store_true",
+                   help="print the effective configuration and exit")
     _add_common(p)
-    _add_config(p)
     p.set_defaults(fn=cmd_paper_verify)
     return parser
 
@@ -273,9 +269,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "print_config", False):
-            print(json.dumps(_build_config(args), indent=1, sort_keys=True))
-            return 0
         return args.fn(args)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)

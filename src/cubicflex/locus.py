@@ -329,6 +329,12 @@ def _first_error(results):
     return results
 
 
+def _coords_key(p):
+    """A sort key of a ProjPoint: its coordinates rounded to 9 places."""
+    return (np.round(p.coords.real, 9).tolist(),
+            np.round(p.coords.imag, 9).tolist())
+
+
 def singular_points(f):
     """All singular points of the cubic, with local type: singular_sets
     of a stack of one.
@@ -385,7 +391,10 @@ def _singular_sets(coeffs):
         kept = _is_singular(cs, q)
         for i, qi, kind in zip(np.array(owner)[kept], q[kept], kinds[kept]):
             out[i].append(SingularPoint(ProjPoint(qi), str(kind)))
-    return [SingularSet(tuple(s)) if isinstance(s, list) else s for s in out]
+    # by type and coordinates: exact nodes tie in residual at rounding level
+    return [SingularSet(tuple(sorted(s, key=lambda sp: (
+        sp.local_type, *_coords_key(sp.point))))) if isinstance(s, list)
+        else s for s in out]
 
 
 def local_expansion(coeffs, point, dir_u, dir_v):
@@ -640,9 +649,7 @@ def _finish(fn, hess, pts):
                 f"inflection point {ip.point} violates the residual "
                 f"contract (|F|={fv:.2e}, |H|={hv:.2e})")
     return InflectionSet(tuple(sorted(
-        pts, key=lambda ip: (-ip.multiplicity,
-                             np.round(ip.point.coords.real, 9).tolist(),
-                             np.round(ip.point.coords.imag, 9).tolist()))))
+        pts, key=lambda ip: (-ip.multiplicity, *_coords_key(ip.point)))))
 
 
 # ---------------------------------------------------------------------------

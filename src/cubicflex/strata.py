@@ -13,8 +13,9 @@ Newton solve on the gradient system in (point, parameter).  The roots
 that reach a crossing are its multiplicity, which the class of its
 member must bear out; the distinct members are classified together.
 
-net_cusp_members() finds the cuspidal members of a two-parameter net by
-a four-equation multistart Newton.
+net_cusp_members() finds the cuspidal members of a two-parameter net:
+one hidden-variable resultant eigensolve gives a candidate point near
+every cusp, and Newton on the four-equation cusp system polishes each.
 
 Every Newton solve here builds residuals and Jacobians only; the
 iteration itself is the shared batched core in newton.py.
@@ -33,14 +34,12 @@ from .errors import CrossingError, NumericalError
 from .forms import (EXP2, MONOMIAL_INDEX, CubicForm, ProjPoint,
                     chart_points, eval_coeffs, eval_gradient,
                     gradient_coeffs, greedy_distinct, monomial_values,
-                    proj_distance, second_partials_matrix, substitute_linear,
-                    third_partials)
-from .locus import (_FREE, _NO_LINE_PAIR, SingularSet,
+                    proj_distance, substitute_linear, third_partials)
+from .locus import (_FLEX_FRAME, _FREE, _NO_LINE_PAIR, SingularSet,
                     _binary_quadratic_roots, _first_error,
                     _singular_candidates, _singular_sets, local_expansion)
 from .roots import UniPoly, all_roots
 
-NET_SEED = 20240919
 DISCRIMINANT_SAMPLES = 25
 
 
@@ -557,19 +556,16 @@ class NetCusp(NamedTuple):
 
 
 def _cusp_jet(cs, a, b):
-    """A function of the rows x = (z_a, z_b, p_1, ...) for the member
-    cs[0] + sum_k p_k cs[k], the third coordinate pinned to 1.
-
-    It gives the residuals {f, f_a, f_b, det H2} (n, 4), their Jacobian
-    in x, and the full gradient; det H2 is the (a, b) minor of the second
-    partials, and its derivatives in z use the constant third partials.
-    """
-    thirds = np.stack([third_partials(c) for c in cs], axis=-1)
+    """A function of the rows x = (z_a, z_b, alpha, beta), for the member
+    cs[0] + alpha cs[1] + beta cs[2] at z with z_c = 1: the residuals
+    {f, f_a, f_b, det H2} (n, 4), det H2 the (a, b) minor of the second
+    partials, and their Jacobian in x by the constant third partials."""
+    thirds = np.moveaxis(third_partials(cs), 0, -1)
 
     def jet(x):
         z = chart_points(x, [a, b])
         w = np.concatenate([np.ones((len(x), 1)), x[:, 2:]], axis=1)
-        Mk = np.stack([second_partials_matrix(c, z) for c in cs], axis=-1)
+        Mk = np.einsum('lijk,nl->nijk', thirds, z)
         # by Euler's relation grad f = M z / 2 and f = z . grad f / 3
         gk = 0.5 * np.einsum('nijk,nj->nik', Mk, z)
         fk = np.einsum('nik,ni->nk', gk, z) / 3
@@ -587,93 +583,95 @@ def _cusp_jet(cs, a, b):
             np.column_stack([g[:, a], g[:, b], fk[:, 1:]]),
             np.column_stack([M[:, a, a], M[:, a, b], gk[:, a, 1:]]),
             np.column_stack([M[:, b, a], M[:, b, b], gk[:, b, 1:]]),
-            np.column_stack([ddet2(T[..., a]), ddet2(T[..., b])]
-                            + [ddet2(Mk[..., k]) for k in range(1, len(cs))]),
-        ], axis=1)
-        return r, J, g
+            np.column_stack([ddet2(T[..., a]), ddet2(T[..., b]),
+                             ddet2(Mk[..., 1]), ddet2(Mk[..., 2])])], axis=1)
+        return r, J
 
     return jet
 
 
-def _net_newton(net, zchart, starts_xy, iters=60):
-    """Multistart Newton on {f, f_a, f_b, det H2} in (x, y, alpha, beta)
-    for the member f0 + alpha f1 + beta f2, z_chart pinned to 1."""
-    a, b = [v for v in range(3) if v != zchart]
-    jet = _cusp_jet([net.f0.coeffs, net.f1.coeffs, net.f2.coeffs], a, b)
-
-    # seed (alpha, beta) by solving the two gradient equations, which
-    # are linear in the net parameters, at the start point
-    x0 = np.concatenate([starts_xy, np.zeros((len(starts_xy), 2))], axis=1)
-    r, J, _ = jet(x0)
-    x0[:, 2:] = newton.linear_solve(J[:, 1:3, 2:], -r[:, 1:3])
-    x, _ = newton.solve(lambda x: jet(x)[:2], x0, iters)
-
-    with np.errstate(invalid='ignore', over='ignore'):
-        r, _, grad = jet(x)
-    z, al, be = chart_points(x, [a, b]), x[:, 2], x[:, 3]
-    fval, d2res = np.abs(r[:, 0]), np.abs(r[:, 3])
-    gres = np.abs(grad).max(axis=1)
-    msc = 1.0 + np.abs(al) + np.abs(be)
-    zsc = np.maximum(np.abs(z).max(axis=1), 1.0)
-    good = (np.isfinite(fval) & (fval < 1e-9 * msc * zsc ** 3)
-            & (gres < 1e-9 * msc * zsc ** 2)
-            & (d2res < 1e-8 * (msc * zsc) ** 2))
-    good &= (np.abs(al) < 1e6) & (np.abs(be) < 1e6)
-    good &= np.abs(z).max(axis=1) < 1e6
-    return z[good], al[good], be[good]
+_Y0 = 0.4173 - 0.2861j      # y = _Y0 + 1/t, fixed and generic
 
 
-def net_cusp_members(net, starts=2000, seed=NET_SEED):
-    """All cuspidal members f0 + alpha f1 + beta f2 of a net.
-
-    Multistart Newton on the four-equation cusp system per point chart,
-    deduplicated across charts, each hit verified by classification.
-    Raises "insufficient starts" when doubling the start count changes
-    the result.
+def _net_cusp_candidates(cs):
+    """Points (n, 3) near every cusp of a cuspidal member of the net of
+    the cubics cs (3, 10), among spurious ones, by one hidden-variable
+    eigensolve (Nakatsukasa, Noferini and Townsend, Numer. Math. 2015).
+    With g_i = f_i(U z) in the frame of inflection_points, the member
+    k = G[0] x G[1] is singular where J = det[grad g_i] (degree 6)
+    vanishes, and cuspidal where the (0, 1) minor c of its second
+    partials (degree 10) does.  An FFT of t^10 J and t^10 c on the 11 x 11
+    roots of unity (x, t) makes their Sylvester matrix in x a matrix
+    polynomial S(t), whose block companion has the t of the common zeros
+    as eigenvalues.  Raises CrossingError when S_10 (y = _Y0) is singular.
     """
-    first = _net_cusp_search(net, starts, seed)
-    second = _net_cusp_search(net, 2 * starts, seed + 1)
-    if len(first) != len(second):
-        raise CrossingError(
-            f"insufficient starts: {len(first)} cuspidal members at "
-            f"{starts} starts but {len(second)} at {2 * starts}")
-    for (al, be, _, _) in first:
-        if not any(abs(al - a2) < 1e-6 and abs(be - b2) < 1e-6
-                   for (a2, b2, _, _) in second):
-            raise CrossingError(
-                "insufficient starts: doubled run found a different set "
-                "of cuspidal members")
-    return first
+    g = np.array([substitute_linear(c, _FLEX_FRAME) for c in cs])
+    w = np.exp(2j * np.pi * np.arange(11) / 11)
+    P = np.stack(np.broadcast_arrays(w[:, None], _Y0 + 1 / w, 1), axis=-1)
+    G = np.einsum('abm,ivm->abvi', monomial_values(P, 2), gradient_coeffs(g))
+    k = np.cross(G[..., 0, :], G[..., 1, :])
+    H = np.einsum('abi,iluv,abl->abuv', k, third_partials(g), P)
+    Jc, cc = np.fft.fft2(np.stack([np.linalg.det(G), H[..., 0, 0]
+                                   * H[..., 1, 1] - H[..., 0, 1] ** 2])
+                         * w ** 10)      # coefficients of x^i t^m, times 121
+    S = np.zeros((11, 16, 16), dtype=complex)
+    for r, (c, shift) in enumerate([(Jc[:7], s) for s in range(10)]
+                                   + [(cc, s) for s in range(6)]):
+        S[:, r, shift:shift + len(c)] = c.T / np.abs(c).max()
+    if np.linalg.cond(S[10]) > 1e12:
+        raise CrossingError("the net's cusp system has a singular "
+                            f"Sylvester matrix at the fixed y = {_Y0}")
+    C = np.eye(160, k=16, dtype=complex)
+    C[-16:] = -np.hstack(np.linalg.solve(S[10], S[:10]))
+    t, v = np.linalg.eig(C)
+    # each block of an eigenvector is a multiple of (1, x, ..., x^15): x is
+    # the least-squares ratio of shifted entries, spoilt by no tiny entry
+    V = v.reshape(10, 16, -1)
+    with np.errstate(divide='ignore', invalid='ignore'):
+        z = np.stack([(V[:, 1:] * V[:, :-1].conj()).sum(axis=(0, 1))
+                      / (abs(V[:, :-1]) ** 2).sum(axis=(0, 1)),
+                      _Y0 + 1 / t, np.ones_like(t)], axis=1)
+    return z[(np.abs(t) > 1e-8) & np.isfinite(z).all(axis=1)] @ _FLEX_FRAME.T
 
 
-def _net_cusp_search(net, starts, seed):
-    rng = np.random.default_rng(seed)
-    sx = (rng.standard_normal((starts, 2))
-          + 1j * rng.standard_normal((starts, 2))) * 1.2
-    hits = []
-    for zchart in range(3):
-        z, al, be = _net_newton(net, zchart, sx)
-        for zi, a_i, b_i in zip(z, al, be):
-            hits.append((complex(a_i), complex(b_i), ProjPoint(zi)))
-    params = np.array([(a_i, b_i) for a_i, b_i, _ in hits])
-    dedup = [hits[i] for i in greedy_distinct(
-        params, 1e-6, lambda p, Q: np.abs(Q - p).max(axis=1))]
+def net_cusp_members(net):
+    """All cuspidal members f0 + alpha f1 + beta f2 of a general net:
+    Newton on the four-equation cusp system in each point chart from
+    every candidate of _net_cusp_candidates, the distinct members reached
+    classified in one pass, and the B22 ones kept.  A general net has 24,
+    the degree of the cuspidal locus; another count raises CrossingError."""
+    cs = np.array([net.f0.coeffs, net.f1.coeffs, net.f2.coeffs])
+    p = _net_cusp_candidates(cs)
+    hits, res = [], []
+    for j, free in enumerate(_FREE):
+        jet = _cusp_jet(cs, *free)
+        x = np.pad((p / p[:, j, None])[:, free], ((0, 0), (0, 2)))
+        # the two gradient equations are linear in (alpha, beta)
+        r, J = jet(x)
+        x[:, 2:] = newton.linear_solve(J[:, 1:3, 2:], -r[:, 1:3])
+        x, _ = newton.solve(jet, x, 60)
+        # each residual is of degree at most 4 in x
+        with np.errstate(invalid='ignore', over='ignore'):
+            res.append((np.abs(jet(x)[0]) / (1 + np.abs(x).max(
+                axis=1, keepdims=True)) ** 4).max(axis=1))
+        hits.append(np.column_stack([chart_points(x, free), x[:, 2:]]))
+    # least residual first, so each member keeps its most accurate hit;
+    # NaN rows sort last and go
+    res = np.concatenate(res)
+    hits = np.concatenate(hits)[np.argsort(res)[:np.sum(res < 1e-9)]]
+    kept = greedy_distinct(hits[:, 3:], 1e-6,
+                           lambda q, Q: np.abs(Q - q).max(axis=1))
+    members = [net.member((1, al, be)) for al, be in hits[kept, 3:]]
     out = []
-    for (a_i, b_i, p) in dedup:
-        member = CubicForm(net.f0.coeffs + a_i * net.f1.coeffs
-                           + b_i * net.f2.coeffs)
-        try:
-            label, cert = classify(member)
-        except NumericalError:
+    for i, member, cl in zip(kept, members, _classified(members)):
+        if isinstance(cl, Exception) or cl[0] is not StratumLabel.B22:
             continue
-        if label is not StratumLabel.B22:
-            continue
-        mn = member.normalize()
-        res = {
-            "f": float(abs(eval_coeffs(mn.coeffs, p.coords))),
-            "grad": float(np.abs(eval_gradient(mn.coeffs, p.coords)).max()),
-        }
-        out.append(NetCusp(a_i, b_i, p, res))
-    out.sort(key=lambda nc: (round(nc.alpha.real, 9), round(nc.alpha.imag, 9),
-                             round(nc.beta.real, 9), round(nc.beta.imag, 9)))
-    return out
+        q = hits[i, :3]
+        out.append(NetCusp(*map(complex, hits[i, 3:]), ProjPoint(q), {
+            "f": float(abs(eval_coeffs(member.coeffs, q))),
+            "grad": float(np.abs(eval_gradient(member.coeffs, q)).max())}))
+    if len(out) != 24:
+        raise CrossingError(f"{len(out)} cuspidal members, not the 24 of a "
+                            "general net")
+    return sorted(out, key=lambda nc: np.round(
+        np.array([nc.alpha, nc.beta]).view(float), 9).tolist())

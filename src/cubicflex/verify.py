@@ -24,7 +24,8 @@ from .locus import hesse_base_points, inflection_points, label_against
 from .perms import (G0, G1, G2, G3, G4, Perm, PermGroup, closure,
                     conjugate_in_s9, coset_action, hesse_group,
                     local_cusp_group)
-from .strata import StratumLabel, classify, net_cusp_members, pencil_crossings
+from .strata import (StratumLabel, classify, classify_all, net_cusp_members,
+                     pencil_crossings)
 from .track import (circle_loop, global_line_outcomes, group_of_lines,
                     local_monodromy, track_loop)
 
@@ -34,7 +35,6 @@ DEFAULT_CONFIG = {
     "global_lines": 2,
     "local_probes": 3,
     "pencil_samples": 20,
-    "net_starts": 2000,
 }
 
 SUITES = ("group", "local", "global", "strata", "counts", "invariants")
@@ -326,10 +326,10 @@ def suite_counts(cfg):
         forms = [CubicForm(rng_net.standard_normal(10)
                            + 1j * rng_net.standard_normal(10))
                  for _ in range(3)]
-        cusps = net_cusp_members(Net(*forms), starts=cfg["net_starts"],
-                                 seed=cfg["seed"] + 19)
-        labels = {str(classify(Net(*forms).member(
-            np.array([1.0, c.alpha, c.beta])))[0]) for c in cusps}
+        net = Net(*forms)
+        cusps = net_cusp_members(net)
+        labels = {str(label) for label, _ in classify_all(
+            [net.member((1, c.alpha, c.beta)) for c in cusps])}
         return (len(cusps), labels)
     r.check("net_cuspidal_members", (24, {"B22"}), net_cusps)
     return r.records

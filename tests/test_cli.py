@@ -145,8 +145,7 @@ class TestCusps:
             p = tmp_path / f"net{k}.json"
             p.write_text(json.dumps(f.to_json_dict()))
             paths.append(str(p))
-        doc = run_json(capsys, ["cusps", *paths, "--starts", "400",
-                                "--json"])
+        doc = run_json(capsys, ["cusps", *paths, "--json"])
         assert doc["count"] == 24
         assert len(doc["members"]) == 24
 
@@ -217,7 +216,9 @@ class TestConfigPlumbing:
         {"seed": "a"}, {"seed": 1.5}, {"seed": True}, {"seed": -1},
         {"delta": 0}, {"delta": -0.05}, {"delta": "0.05"}, {"delta": None},
         {"global_lines": 0}, {"global_lines": "2"}, {"local_probes": 2.0},
-        {"pencil_samples": False}, {"net_starts": -5},
+        {"pencil_samples": False},
+        # net_starts is no longer a key: it takes the unknown-key path
+        {"net_starts": -5},
     ], ids=lambda d: "-".join(f"{k}={v!r}" for k, v in d.items()))
     def test_bad_config_value_is_schema_error(self, capsys, tmp_path, doc):
         cfgfile = tmp_path / "cfg.json"
@@ -232,13 +233,17 @@ class TestConfigPlumbing:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [
-        ["inflect", data_path("fermat")],
-        ["classify", data_path("fermat")],
-        ["monodromy", data_path("loop_c1")],
-    ], ids=["inflect", "classify", "monodromy"])
+        ["inflect", data_path("fermat"), "--seed", "5"],
+        ["classify", data_path("fermat"), "--seed", "5"],
+        ["monodromy", data_path("loop_c1"), "--seed", "5"],
+        ["cusps", *[data_path("fermat")] * 3, "--seed", "5"],
+        ["cusps", *[data_path("fermat")] * 3, "--starts", "400"],
+        ["cusps", *[data_path("fermat")] * 3, "--config", "cfg.json"],
+    ], ids=["inflect", "classify", "monodromy", "cusps-seed", "cusps-starts",
+            "cusps-config"])
     def test_seed_only_where_a_config_is_read(self, argv):
         with pytest.raises(SystemExit) as exc:
-            main([*argv, "--seed", "5"])
+            main(argv)
         assert exc.value.code == 2
 
 

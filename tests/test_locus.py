@@ -510,6 +510,22 @@ class TestSingularSets:
                 assert proj_distance(got.singular_line,
                                      want.singular_line) < 1e-12
 
+    def test_points_in_canonical_order(self):
+        # exact nodes tie in their residuals at rounding level, so only
+        # type and rounded coordinates may order a set; the two nodes of
+        # the triangle under the matrix of default_rng(5) came back in
+        # either order when the residuals did
+        forms = [make() for _, make, _ in CLASSIFY_CORPUS]
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            forms += [make().transform(M) for _, make, _ in CLASSIFY_CORPUS]
+        for s in singular_sets([f.coeffs for f in forms]):
+            keys = [(sp.local_type, np.round(sp.point.coords.real, 9).tolist(),
+                     np.round(sp.point.coords.imag, 9).tolist())
+                    for sp in s.points]
+            assert keys == sorted(keys)
+
     def test_stack_raises_the_single_error(self):
         bad = frame_weight_cases()[1]
         with pytest.raises(NumericalError, match="usable line pair") as one:

@@ -398,6 +398,61 @@ class TestDeduplication:
             assert kept == reference_distinct(pts, radius, distance)
 
 
+# the 24 cuspidal members (alpha, beta) of net3, recorded from an
+# independent search: Newton on the cusp system from 2000 random starts
+# in each point chart, kept when 4000 fresh starts found the same members
+NET3_CUSPS = np.array([
+    ((-1.2820304580005795-1.5292697881565833j),
+     (-2.2612041086762447+0.07360759309860676j)),
+    ((-1.217812319290866-0.928198830028501j),
+     (-0.634182079318367-0.3823217671114746j)),
+    ((-0.9497022425127155+2.9336444306521914j),
+     (-1.586848958181892-3.8012483930039145j)),
+    ((-0.8988982864182078-1.6526246220356868j),
+     (0.6465522767817508-0.5486886418649624j)),
+    ((-0.7839521996358743-0.6453600416014865j),
+     (2.4093365351231206-0.5462142210391671j)),
+    ((-0.49172619410831336-0.9242597118677963j),
+     (1.6049513855976574+0.6046014980089519j)),
+    ((-0.32611682976539186+0.41711508461524227j),
+     (-0.7637559306520633+0.764883608111683j)),
+    ((0.04780541954209265-1.0987193072506476j),
+     (0.6387158708579308+0.913655743641669j)),
+    ((0.09346987736211651+0.8103364872683679j),
+     (-0.4011853992580074-1.1260324419803487j)),
+    ((0.14019743113356997-0.4497659581624794j),
+     (-0.6887436717770505+0.6467133059593538j)),
+    ((0.2688171343078996+1.3638079023702538j),
+     (-2.0289926985831963+1.4761756843085616j)),
+    ((0.2870812147835992-0.9704238098269296j),
+     (-1.92772303244705+0.43697097221224174j)),
+    ((0.5049075484490793+0.11160964466973472j),
+     (-0.4762593187751984-0.3153441692986606j)),
+    ((0.5508970870563035-0.7274859738378681j),
+     (0.14362218168087715+0.5585966966087336j)),
+    ((0.7388162099555001+0.5910184059152256j),
+     (-0.4235503325131586-0.6572225113765068j)),
+    ((0.7638130480317448+0.7711972319083604j),
+     (-0.6377649035944442-0.5472103664553499j)),
+    ((1.2005008957997598-0.41579139430810347j),
+     (-1.8133793428645424-0.2339752872620092j)),
+    ((1.5286717689243419-2.838307775002297j),
+     (5.437265578510037-1.9854207595495037j)),
+    ((1.5572307537516497-1.8551951943023806j),
+     (-0.8376751839638659+2.592798748928887j)),
+    ((1.6071239216023525-2.3621641065563312j),
+     (-1.9413907361362213+2.875484342739124j)),
+    ((1.7663012658353665-2.4581460809261757j),
+     (-1.2513202788284346+0.3729578477531705j)),
+    ((1.8773157697258154+0.935140869876154j),
+     (-0.9340174743318517+0.46649493231186073j)),
+    ((1.9698278820071158-1.8751384782394778j),
+     (-0.9638894460223014+3.049612143222908j)),
+    ((3.761583070927104+1.9929161253445897j),
+     (4.086971483654955+6.120876111705321j)),
+])
+
+
 @pytest.fixture(scope="module")
 def net3():
     rng = np.random.default_rng(3)
@@ -407,14 +462,19 @@ def net3():
 class TestNetCusps:
 
     def test_generic_net_has_24_cuspidal_members(self, net3):
-        out = net_cusp_members(net3, starts=400, seed=7)
+        out = net_cusp_members(net3)
         assert len(out) == 24
         assert all(nc.residuals["f"] < 1e-10 for nc in out)
         assert all(nc.residuals["grad"] < 1e-10 for nc in out)
 
+    def test_same_members_as_recorded(self, net3):
+        out = net_cusp_members(net3)
+        got = np.array([(nc.alpha, nc.beta) for nc in out])
+        assert np.abs(got - NET3_CUSPS).max() < 1e-10
+
     def test_output_sorted_and_deterministic(self, net3):
-        a = net_cusp_members(net3, starts=400, seed=7)
-        b = net_cusp_members(net3, starts=400, seed=7)
+        a = net_cusp_members(net3)
+        b = net_cusp_members(net3)
         assert [(nc.alpha, nc.beta) for nc in a] == \
             [(nc.alpha, nc.beta) for nc in b]
         keys = [(nc.alpha.real, nc.alpha.imag, nc.beta.real, nc.beta.imag)
@@ -422,20 +482,30 @@ class TestNetCusps:
         assert keys == sorted(keys)
 
     def test_members_are_cuspidal(self, net3):
-        out = net_cusp_members(net3, starts=400, seed=7)
-        for nc in out[:3]:
-            member = CubicForm(net3.f0.coeffs + nc.alpha * net3.f1.coeffs
-                               + nc.beta * net3.f2.coeffs)
-            label, cert = classify(member)
+        out = net_cusp_members(net3)
+        members = [CubicForm(net3.f0.coeffs + nc.alpha * net3.f1.coeffs
+                             + nc.beta * net3.f2.coeffs) for nc in out]
+        for nc, (label, cert) in zip(out, classify_all(members)):
             assert label is StratumLabel.B22
             assert cert.singular.points[0].point.distance(nc.point) < 1e-6
 
-    def test_insufficient_starts_raises(self, net3):
-        with pytest.raises(CrossingError, match="insufficient starts"):
-            net_cusp_members(net3, starts=10, seed=7)
+    def test_non_general_net_is_refused(self):
+        # this net holds the cuspidal f1 (at alpha = infinity) and the
+        # B4 cone f0 - f1 = z2^3 - z2^2 z3 + z3^3, a triple point where
+        # the cuspidal locus meets it with high multiplicity: the chart
+        # keeps 19 B22 members, not 24
+        real = CubicForm(np.random.default_rng(1).standard_normal(10))
+        with pytest.raises(CrossingError, match="19 cuspidal members"):
+            net_cusp_members(Net(fermat_cubic(), cusp_family(0), real))
+        # every member of the net of coordinate cubes is diagonal, smooth
+        # or a cone, and none is cuspidal
+        cubes = Net(M({(3, 0): 1}), M({(0, 3): 1}), M({(0, 0): 1}))
+        with pytest.raises(CrossingError):
+            net_cusp_members(cubes)
 
     def test_second_random_net(self):
         rng = np.random.default_rng(12)
         net = Net(rand_cubic(rng), rand_cubic(rng), rand_cubic(rng))
-        out = net_cusp_members(net, starts=1000, seed=7)
+        out = net_cusp_members(net)
         assert len(out) == 24
+        assert np.abs([nc.residuals["grad"] for nc in out]).max() < 1e-10
