@@ -101,6 +101,7 @@ def cmd_monodromy(args):
            "cycle_type": list(result.perm.cycle_type()),
            "steps_taken": result.steps_taken,
            "steps_refused": result.steps_refused,
+           "segments_retraced": result.segments_retraced,
            "min_step_taken": result.min_step_taken,
            "min_pairwise_separation": result.min_pairwise_separation,
            "max_residual": result.max_residual}, args)

@@ -24,6 +24,15 @@ min(INITIAL_STEP, step_cap()), and a step below MIN_STEP raises.  After
 every accepted step each point is pinned at 1 in its largest coordinate,
 so no pinned coordinate tends to 0 along the path.
 
+Retraced segments.  Within one loop, the lift of each tracked segment,
+its pinned points at start and end, is recorded.  A later segment that
+is bitwise its reverse (a Line with swapped end point bytes, an Arc with
+the same centre, direction and radius bytes and swapped turns) is not
+tracked: path lifting is unique, so each point moves to the start of
+the sheet whose end it matches within SEPARATION_GATE times the least
+separation, and a failed match raises TrackingError.  steps_taken
+counts tracked steps only; no lift outlives its loop.
+
 Bypass routes.  The bypass of a crossing on a line through the
 basepoint runs straight toward it, once around it, and back.  Where the
 straight segment comes close to another crossing it detours on a small
@@ -39,8 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CrossingError, DegenerateInputError, NumericalError,
-                     SchemaError, TrackingError)
+from .errors import (CrossingError, DegenerateInputError, MatchingError,
+                     NumericalError, SchemaError, TrackingError)
 from . import newton
 from .forms import (CubicForm, Pencil, ProjPoint, eval_coeffs,
                     hessian_coeffs, hessian_directional, monomial_values,
@@ -113,6 +122,9 @@ class Arc:
     turn_end: float = 1.0
 
     def __post_init__(self):
+        if not np.isfinite([self.radius, self.turn_start,
+                            self.turn_end]).all():
+            raise SchemaError("arc radius and turns must be finite")
         if not self.radius > 0:
             raise SchemaError("arc radius must be positive")
         if self.turn_end == self.turn_start:
@@ -167,6 +179,14 @@ def _reversed_segments(segments):
                  for seg in reversed(segments))
 
 
+def _segment_key(seg):
+    """The bytes that fix the path of a segment."""
+    if isinstance(seg, Line):
+        return seg.start.coeffs.tobytes(), seg.end.coeffs.tobytes()
+    return (seg.center.coeffs.tobytes(), seg.direction.coeffs.tobytes(),
+            np.array([seg.radius, seg.turn_start, seg.turn_end]).tobytes())
+
+
 @dataclass(frozen=True)
 class Loop:
     """A closed piecewise path of cubics, starting and ending at
@@ -182,12 +202,12 @@ class Loop:
             raise SchemaError("loop needs at least one segment")
         prev = self.basepoint.coeffs
         for k, seg in enumerate(segs):
-            if proj_distance(prev, seg.value(0.0)) > CLOSURE_TOL:
+            if not proj_distance(prev, seg.value(0.0)) <= CLOSURE_TOL:
                 raise SchemaError(
                     f"loop segment {k} does not start where the previous "
                     "one ends")
             prev = seg.value(1.0)
-        if proj_distance(prev, self.basepoint.coeffs) > CLOSURE_TOL:
+        if not proj_distance(prev, self.basepoint.coeffs) <= CLOSURE_TOL:
             raise SchemaError("loop is not closed")
 
     def reversed(self):
@@ -222,6 +242,7 @@ class MonodromyResult:
     max_residual: float
     steps_refused: int
     min_step_taken: float
+    segments_retraced: int
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +361,18 @@ class _Tracker:
             self.chart, self.eqs = chart, FlexEquations(chart)
             self.Z[moved] /= self.Z[moved, chart[moved]][:, None]
 
+    def retrace(self, ends, starts):
+        """Cross the reverse of a segment tracked from rows starts to rows
+        ends: each row moves to the start of the sheet it matches."""
+        try:
+            sheets = nearest_labels(self.Z, ends, range(len(ends)),
+                                    radius=SEPARATION_GATE * self.separation)
+        except MatchingError as exc:
+            raise TrackingError(f"retraced segment: {exc}") from exc
+        self.Z = starts[sheets]
+        self.pin()
+        self.separation = _pairwise_min_distance(self.Z)
+
     def run_segment(self, seg):
         s = 0.0
         # the velocity at the accepted points survives a refused step
@@ -419,8 +452,18 @@ def track_loop(loop, labels=None):
         raise TrackingError(
             "basepoint not smooth: inflection points closer than the "
             "proximity guard")
+    lifts, retraced = {}, 0
     for seg in loop.segments:
+        lift = lifts.get(_segment_key(seg))
+        if lift is not None:
+            tracker.retrace(*lift)
+            retraced += 1
+            continue
+        starts = tracker.Z
         tracker.run_segment(seg)
+        # the reverse's lift, from these end rows back to these start
+        # rows; run_segment rebinds tracker.Z and never writes into it
+        lifts[_segment_key(*_reversed_segments((seg,)))] = (tracker.Z, starts)
     # row k of Z is the sheet that started at the k-th smallest label
     perm = Perm(nearest_labels(tracker.Z,
                                [ip.point.coords for ip in ordered],
@@ -429,7 +472,8 @@ def track_loop(loop, labels=None):
                            min_pairwise_separation=tracker.min_separation,
                            max_residual=tracker.max_residual,
                            steps_refused=tracker.refused,
-                           min_step_taken=tracker.min_step_taken)
+                           min_step_taken=tracker.min_step_taken,
+                           segments_retraced=retraced)
 
 
 # ---------------------------------------------------------------------------

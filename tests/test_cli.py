@@ -101,6 +101,26 @@ class TestMonodromy:
         code = main(["monodromy", str(path)])
         assert code == 3
 
+    def test_out_and_back_retraces_its_return(self, capsys, tmp_path):
+        f = fermat_cubic()
+        mid = CubicForm(0.8 * f.coeffs + 0.2 * triangle_cubic().coeffs)
+        path = tmp_path / "null_loop.json"
+        path.write_text(json.dumps(
+            Loop(f, (Line(f, mid), Line(mid, f))).to_json_dict()))
+        doc = run_json(capsys, ["monodromy", str(path), "--json"])
+        assert doc["perm"] == "()"
+        assert doc["segments_retraced"] == 1
+
+    @pytest.mark.parametrize("field", ["radius", "turn_start", "turn_end"])
+    def test_non_finite_arc_field_is_schema_error(self, capsys, tmp_path,
+                                                  field):
+        doc = json.load(open(data_path("loop_c1")))
+        doc["segments"][0][field] = float("nan")
+        path = tmp_path / "nan_loop.json"
+        # json writes the NaN token, which json.load reads back
+        path.write_text(json.dumps(doc))
+        assert main(["monodromy", str(path)]) == 2
+
 
 class TestGroup:
     def test_hessian_generators(self, capsys):

@@ -108,6 +108,14 @@ class TestSegments:
         with pytest.raises(SchemaError):
             Arc(triangle_cubic(), unit_coeff(0, 3), 0.2, 0.3, 0.3)
 
+    @pytest.mark.parametrize("field", ["radius", "turn_start", "turn_end"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_arc_rejects_non_finite_fields(self, field, bad):
+        fields = {"radius": 0.2, "turn_start": 0.0, "turn_end": 1.0,
+                  field: bad}
+        with pytest.raises(SchemaError, match="finite"):
+            Arc(triangle_cubic(), unit_coeff(0, 3), **fields)
+
 
 class TestLoop:
     def test_open_path_rejected(self):
@@ -120,6 +128,15 @@ class TestLoop:
         h = node_family(0.3, 0.1, 0.2)
         with pytest.raises(SchemaError, match="segment 1"):
             Loop(f, (Line(f, g), Line(h, f)))
+
+    def test_overflowing_junction_rejected(self):
+        # the arc's points overflow to inf, so the junction distance is
+        # NaN, which no comparison with the tolerance may let through
+        f = fermat_cubic()
+        arc = Arc(f, CubicForm(np.full(10, 10.0)), 1e308)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(SchemaError, match="segment 0"):
+            Loop(f, (arc,))
 
     def test_json_round_trip(self, coordinate_loops):
         c1 = coordinate_loops[0]
@@ -220,6 +237,16 @@ class TestTrackLoopEdges:
         assert res.perm == Perm.identity()
         check_diagnostics(res)
 
+    def test_null_loop_with_a_tracked_return_is_identity(self):
+        # the return is the same projective path, with coefficients scaled
+        # by 2: not bitwise the reverse of the way out, so it is tracked
+        f = fermat_cubic()
+        mid = CubicForm(0.8 * f.coeffs + 0.2 * node_family(0.3, 0.1, 0.2).coeffs)
+        res = track_loop(Loop(f, (Line(f, mid), Line(2 * mid, 2 * f))))
+        assert res.perm == Perm.identity()
+        assert res.segments_retraced == 0
+        check_diagnostics(res)
+
     def test_path_through_discriminant_raises(self):
         f, t = fermat_cubic(), triangle_cubic()
         loop = Loop(f, (Line(f, t), Line(t, f)))
@@ -251,6 +278,27 @@ class TestTrackLoopEdges:
                       * (nodal_target().coeffs - f.coeffs))
         res = track_loop(Loop(f, (Line(f, w), Line(w, f))))
         assert res.perm == Perm.identity()
+        assert res.steps_refused > 0
+        assert calls["correct"] == res.steps_taken + res.steps_refused
+        assert 0 < res.min_step_taken <= track.INITIAL_STEP
+
+    def test_refused_steps_on_a_tracked_return(self, monkeypatch):
+        calls = {"correct": 0}
+        correct = track._Tracker.correct
+
+        def counted_correct(tracker, *args):
+            calls["correct"] += 1
+            return correct(tracker, *args)
+
+        monkeypatch.setattr(track._Tracker, "correct", counted_correct)
+        # the path of test_refused_steps_count_the_extra_corrections, with
+        # a return scaled by 2, so that it is tracked, not retraced
+        f = fermat_cubic()
+        w = CubicForm(f.coeffs + (1.2 + 0.012j)
+                      * (nodal_target().coeffs - f.coeffs))
+        res = track_loop(Loop(f, (Line(f, w), Line(2 * w, 2 * f))))
+        assert res.perm == Perm.identity()
+        assert res.segments_retraced == 0
         assert res.steps_refused > 0
         assert calls["correct"] == res.steps_taken + res.steps_refused
         assert 0 < res.min_step_taken <= track.INITIAL_STEP
@@ -392,7 +440,11 @@ class TestBypass:
     def test_bypass_survives_json_round_trip(self):
         loop = bypass_loop(fermat_cubic(), nodal_target(), 0.02)
         again = Loop.from_json_dict(loop.to_json_dict())
-        assert track_loop(again).perm.cycle_type() == (3, 3, 1, 1, 1)
+        res = track_loop(again)
+        assert res.perm.cycle_type() == (3, 3, 1, 1, 1)
+        # JSON keeps every coefficient's bytes, so the way back still
+        # matches the way out
+        assert res.segments_retraced == 5
 
     def test_paths_to_same_target_share_cycle_type(self):
         # the bypass preconditions (no second crossing within 3*radius)
@@ -413,6 +465,102 @@ class TestBypass:
             if done == 3:
                 break
         assert done == 3
+
+
+def first_rng0_line():
+    """The first line of default_rng(0) through the Fermat cubic, its
+    crossing parameters and the bypass radius line_bypass_permutations
+    takes for it."""
+    rng = np.random.default_rng(0)
+    delta = CubicForm(rng.standard_normal(10) + 1j * rng.standard_normal(10))
+    roots = np.asarray(track._pencil_roots(fermat_cubic(), delta)[0].roots)
+    return delta, roots, min(track._lasso_radius(roots, roots), 0.05)
+
+
+def orthogonal_shift(z, t):
+    """z moved by a chordal distance of about t, orthogonally to z."""
+    w = np.array([1.0, 2.0j, -1.0])
+    w = w - np.vdot(z, w) / np.vdot(z, z) * z
+    return z + t * np.linalg.norm(z) / np.linalg.norm(w) * w
+
+
+class TestRetrace:
+    def test_bench_style_bypasses_retrace_their_way_back(self):
+        # out on a Line, once around on an Arc, back on the reversed Line
+        base = fermat_cubic()
+        delta, roots, radius = first_rng0_line()
+        for s_star in roots:
+            e = s_star / abs(s_star)
+            stop = CubicForm(base.coeffs + (s_star - radius * e)
+                             * delta.coeffs)
+            out = Line(base, stop)
+            circle = Arc(CubicForm(base.coeffs + s_star * delta.coeffs),
+                         CubicForm(-e * delta.coeffs), radius, 0.0, 1.0)
+            res = track_loop(Loop(base, (out, circle, Line(stop, base))))
+            assert res.perm.cycle_type() == (3, 3, 1, 1, 1)
+            assert res.segments_retraced == 1
+
+    def test_bypass_retraces_each_outbound_segment(self):
+        # k detours make 2k + 1 segments on the way out
+        base = fermat_cubic()
+        delta, roots, radius = first_rng0_line()
+        loops = [bypass_loop(base, nodal_target(), 0.02)]
+        loops += [Loop(base, track._bypass_segments(
+            base, delta, complex(roots[k]), radius, np.delete(roots, k)))
+            for k in (0, 10)]
+        detours = [sum(isinstance(seg, Arc) for seg in loop.segments) // 2
+                   for loop in loops]
+        assert detours == [2, 0, 1]
+        for loop, k in zip(loops, detours):
+            assert track_loop(loop).segments_retraced == 2 * k + 1
+
+    def test_same_permutations_retraced_or_tracked(self, monkeypatch):
+        results = []
+        tracked = track.track_loop
+
+        def recorded(*args, **kwargs):
+            results.append(tracked(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(track, "track_loop", recorded)
+        base = fermat_cubic()
+        delta = first_rng0_line()[0]
+        nodal = bypass_loop(base, nodal_target(), 0.02)
+
+        def run():
+            results.clear()
+            perms = line_bypass_permutations(base, delta)
+            perms.append(track.track_loop(nodal).perm)
+            return perms, [r.segments_retraced for r in results]
+
+        retraced, counts = run()
+        assert len(retraced) == 13 and min(counts) >= 1
+        # no key matches another, so every segment is tracked
+        monkeypatch.setattr(track, "_segment_key", lambda seg: object())
+        again, counts = run()
+        assert again == retraced
+        assert counts == [0] * 13
+
+    @pytest.mark.parametrize("gates, raises", [(0.5, False), (3.0, True)])
+    def test_lift_end_moved_beyond_the_gate_raises(self, monkeypatch, gates,
+                                                   raises):
+        # the first end row of the recorded lift moves by a share of the
+        # matching radius, SEPARATION_GATE times the separation
+        retrace = track._Tracker.retrace
+
+        def moved(tracker, ends, starts):
+            ends = ends.copy()
+            ends[0] = orthogonal_shift(ends[0], gates * track.SEPARATION_GATE
+                                       * tracker.separation)
+            return retrace(tracker, ends, starts)
+
+        monkeypatch.setattr(track._Tracker, "retrace", moved)
+        loop = bypass_loop(fermat_cubic(), nodal_target(), 0.02)
+        if raises:
+            with pytest.raises(TrackingError, match="retraced segment"):
+                track_loop(loop)
+        else:
+            assert track_loop(loop).perm.cycle_type() == (3, 3, 1, 1, 1)
 
 
 class TestGlobalMonodromy:
