@@ -41,17 +41,22 @@ class Perm:
 
     @classmethod
     def from_cycles(cls, cycles):
-        """Build from an iterable of cycles, e.g. [(2, 8, 5), (3, 6, 9)]."""
+        """Build from an iterable of disjoint cycles, e.g. [(2, 8, 5),
+        (3, 6, 9)]; a letter used twice is a SchemaError."""
         img = list(range(1, N_LETTERS + 1))
+        used = set()
         for cyc in cycles:
             cyc = list(cyc)
             seen = set(cyc)
             if len(seen) != len(cyc) or not seen <= set(range(1, N_LETTERS + 1)):
                 raise SchemaError(f"bad cycle {cyc}")
+            if seen & used:
+                raise SchemaError(f"cycle {cyc} shares a letter with an "
+                                  "earlier cycle")
+            used |= seen
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 img[a - 1] = b
-        p = cls(img)
-        return p
+        return cls(img)
 
     @classmethod
     def parse(cls, text):

@@ -7,11 +7,22 @@ observed singular points.  classify_all() does the same for a sequence
 of cubics on one locus.singular_sets pass; classify() is its list of
 one.
 
+discriminant_value() and pencil_discriminant_fit() evaluate the
+discriminant, the Macaulay resultant of the gradient quadrics, in the
+one fixed generic frame U of locus (the flexes' and the net cusps'),
+and divide out det(U)^12, so no value depends on the frame.  A pencil
+whose samples are all rounding noise lies inside the discriminant, and
+the fit raises CrossingError.  The fit's degree is read off its own
+rounding noise, the coefficients above degree 12.
+
 pencil_crossings() refines every root of an interpolated degree-12
 discriminant polynomial of a pencil, of both charts at once, by one
 Newton solve on the gradient system in (point, parameter).  The roots
 that reach a crossing are its multiplicity, which the class of its
 member must bear out; the distinct members are classified together.
+Both ends of the pencil are alike: an end where the other chart's
+polynomial drops degree is classified directly, and its root is divided
+out of its own chart's polynomial.
 
 net_cusp_members() finds the cuspidal members of a two-parameter net:
 one hidden-variable resultant eigensolve gives a candidate point near
@@ -266,38 +277,26 @@ def _macaulay_dets(Q):
     return np.linalg.det(M), np.linalg.det(minor)
 
 
+# the coefficients of f(U z) are those of f times _FRAME_SUB, and the
+# resultant of the gradients of f(U z) is det(U)^12 times that of f
+_FRAME_SUB = np.array([substitute_linear(e, _FLEX_FRAME) for e in np.eye(10)])
+_FRAME_DET12 = np.linalg.det(_FLEX_FRAME) ** 12
+
+
+def _framed_discriminant(a):
+    """Discriminants of f from the stacked coefficients a of f(U z)."""
+    det15, det3 = _macaulay_dets(gradient_coeffs(a))
+    return det15 / det3 / _FRAME_DET12
+
+
 def discriminant_value(f):
     """Numeric discriminant: the resultant of the three gradient
-    quadrics, computed as a Macaulay determinant ratio.  Vanishes exactly
-    on singular cubics; scales with the twelfth power of the input."""
+    quadrics, computed as a Macaulay determinant ratio in the generic
+    frame U and divided by det(U)^12.  Vanishes exactly on singular
+    cubics, scales with the twelfth power of the input, and is
+    det(M)^12 times itself under f -> f(M z)."""
     fn = f if isinstance(f, CubicForm) else CubicForm(f)
-    det15, det3 = _macaulay_dets(gradient_coeffs(fn.coeffs))
-    if abs(det3) < 1e-140:
-        # fall back to a unitary change of coordinates
-        U = _SAMPLING_FRAMES[1]
-        det15, det3 = _macaulay_dets(gradient_coeffs(fn.transform(U).coeffs))
-    return det15 / det3
-
-
-def _pencil_discriminant_samples(c0, c1, radius):
-    """Discriminant values at sample parameters on a circle."""
-    n = DISCRIMINANT_SAMPLES
-    us = radius * np.exp(2j * np.pi * np.arange(n) / n)
-    det15, det3 = _macaulay_dets(gradient_coeffs(c0)
-                                 + us[:, None, None] * gradient_coeffs(c1))
-    if (abs(det3) < 1e-120).any():
-        return None
-    return det15 / det3
-
-
-def _fixed_unitaries():
-    rng = np.random.default_rng(5)
-    return [None] + [np.linalg.qr(rng.standard_normal((3, 3))
-                                  + 1j * rng.standard_normal((3, 3)))[0]
-                     for _ in range(2)]
-
-
-_SAMPLING_FRAMES = _fixed_unitaries()
+    return _framed_discriminant(fn.coeffs @ _FRAME_SUB)
 
 
 def _chart_pair(pencil, chart):
@@ -310,32 +309,30 @@ def _chart_pair(pencil, chart):
 def pencil_discriminant_fit(pencil, chart=0):
     """Ascending coefficients of the degree-<=12 discriminant polynomial
     on one affine chart of the pencil (chart 0: f0 + u f1, chart 1:
-    v f0 + f1), interpolated from circle samples.
-
-    Sparse coefficient patterns can kill the extraneous minor of the
-    elimination matrix identically; a fixed unitary change of plane
-    coordinates rescales the discriminant by a nonzero constant without
-    moving its roots, so retry in rotated frames.
+    v f0 + f1), interpolated from discriminant_value's framed samples on
+    a circle.  The coefficients above degree 12 are rounding noise; the
+    leading ones within 100 times the largest of those are set to zero,
+    so the fit's degree is read off its own noise.  Samples all below
+    1e-10 of the largest spanning coefficient to the twelfth raise
+    CrossingError ("pencil inside discriminant"); a circle whose fit
+    leaves a tail, as one through a member with a vanishing extraneous
+    minor does, is retried at another radius.
     """
-    c0, c1 = _chart_pair(pencil, chart)
-    # a pencil lying inside the discriminant yields pure rounding noise,
-    # dozens of orders below any honest degree-12 value at this scale
-    zero_floor = 1e-20 * max(np.abs(c0).max(), np.abs(c1).max()) ** 12
-    for U in _SAMPLING_FRAMES:
-        a0 = c0 if U is None else substitute_linear(c0, U)
-        a1 = c1 if U is None else substitute_linear(c1, U)
-        for radius in (1.0, 1.37, 0.73):
-            vals = _pencil_discriminant_samples(a0, a1, radius)
-            if vals is None:
-                continue
-            if np.abs(vals).max() < zero_floor:
-                return np.zeros(13, dtype=complex)
-            coeffs = np.fft.fft(vals) / len(vals)
-            coeffs = coeffs / radius ** np.arange(len(vals))
-            tail = np.abs(coeffs[13:]).max()
-            scale = np.abs(coeffs).max()
-            if tail < 1e-6 * scale:
-                return coeffs[:13]
+    a0, a1 = np.array(_chart_pair(pencil, chart)) @ _FRAME_SUB
+    floor = 1e-10 * max(pencil.f0.scale(), pencil.f1.scale()) ** 12
+    n = DISCRIMINANT_SAMPLES
+    for radius in (1.0, 1.37, 0.73):
+        us = radius * np.exp(2j * np.pi * np.arange(n) / n)
+        vals = _framed_discriminant(a0 + us[:, None] * a1)
+        if np.abs(vals).max() < floor:
+            raise CrossingError("pencil inside discriminant: every sample "
+                                "of its discriminant is rounding noise")
+        coeffs = np.fft.fft(vals) / n / radius ** np.arange(n)
+        noise = np.abs(coeffs[13:]).max()
+        if noise < 1e-6 * np.abs(coeffs).max():
+            coeffs = coeffs[:13]
+            coeffs[np.flatnonzero(np.abs(coeffs) > 100 * noise)[-1] + 1:] = 0
+            return coeffs
     raise CrossingError(
         "discriminant interpolation failed on every sample circle")
 
@@ -441,37 +438,38 @@ def pencil_crossings(pencil):
 
     Every root of the interpolated degree-12 discriminant is a crossing
     parameter: those with |u| <= 1 from the chart f0 + u f1, the rest from
-    the chart v f0 + f1.  A singular f1 is the crossing at infinity, with
-    the degree drop of the first chart as its multiplicity.  The other
-    roots of both charts are seeded from one stacked singular-point
-    candidate search and refined together by one Newton solve on the
-    gradient system in (point, parameter).  Roots that reach the same
-    crossing count towards its multiplicity, and the distinct crossings'
-    members are classified in one classify_all pass; each class must
-    bear its multiplicity out, else CrossingError.  A failure is reported
-    for the first root, then the first crossing, that fails.
+    the chart v f0 + f1.  Both ends are alike: where the other chart's
+    fit drops degree by m > 0, the spanning cubic (f0 at u = 0, f1 at
+    u = infinity) is classified directly; unless smooth, it is a crossing
+    of multiplicity m, and its chart's m lowest coefficients, rounding
+    noise, are divided out, so no noisy roots at that end mingle with a
+    genuine crossing near it.  The other roots are seeded from one
+    stacked singular-point candidate search and refined together by one
+    Newton solve on the gradient system in (point, parameter).  Roots
+    that reach the same crossing count towards its multiplicity, and the
+    distinct crossings' members are classified in one classify_all pass;
+    each class must bear its multiplicity out, else CrossingError.  A
+    pencil inside the discriminant raises CrossingError from
+    pencil_discriminant_fit.  A failure is reported for the first end,
+    root, then crossing that fails.
     """
-    fit = pencil_discriminant_fit(pencil, chart=0)
-    scale0 = max(pencil.f0.scale(), pencil.f1.scale()) ** 12
-    if np.abs(fit).max() < 1e-10 * max(scale0, 1e-280):
-        raise CrossingError("pencil inside discriminant: the interpolated "
-                            "discriminant vanishes identically")
-    poly = UniPoly(fit, rel=1e-8)
-    roots0 = all_roots(poly, cluster_radius=0.0).roots
-    roots0 = roots0[np.abs(roots0) <= 1]
-    roots1 = all_roots(UniPoly(pencil_discriminant_fit(pencil, chart=1),
-                               rel=1e-8), cluster_radius=0.0).roots
-    roots1 = roots1[np.argsort(np.abs(roots1))][:12 - len(roots0)]
+    fits = [pencil_discriminant_fit(pencil, chart) for chart in (0, 1)]
+    # the other chart's degree drop is the multiplicity at a chart's origin
+    ends = [12 - int(np.flatnonzero(fit)[-1]) for fit in fits[::-1]]
     crossings = []
-    at_infinity = classify(pencil.f1)
-    if at_infinity[0] is not StratumLabel.SMOOTH:
-        # the degree drop is the multiplicity at infinity, where the
-        # smallest roots of the second chart sit
-        m = 12 - poly.degree
-        roots1 = roots1[m:]
-        t = np.array([0.0, 1.0])
-        crossings.append(_crossing(pencil, 1, t, m, pencil.member(t),
-                                   at_infinity))
+    for chart in np.flatnonzero(ends):
+        m, t = ends[chart], np.eye(2)[chart]
+        member = pencil.member(t)
+        end = classify(member)
+        if end[0] is not StratumLabel.SMOOTH:
+            # the m lowest coefficients are this end's root: rounding noise
+            fits[chart] = fits[chart][m:]
+            crossings.append(_crossing(pencil, chart, t, m, member, end))
+    roots0, roots1 = (all_roots(UniPoly(fit, rel=0.0), cluster_radius=0.0)
+                      .roots for fit in fits)
+    roots0 = roots0[np.abs(roots0) <= 1]
+    roots1 = roots1[np.argsort(np.abs(roots1))][
+        :12 - sum(c.multiplicity for c in crossings) - len(roots0)]
     charts = np.repeat([0, 1], [len(roots0), len(roots1)])
     ts, zs = _crossing_newton(pencil, charts,
                               np.concatenate([roots0, roots1]))

@@ -481,11 +481,7 @@ def track_loop(loop, labels=None):
 
 def _pencil_roots(basepoint, direction):
     pencil = Pencil(basepoint, direction)
-    fit = pencil_discriminant_fit(pencil)
-    if np.abs(fit).max() == 0.0:
-        raise CrossingError("no crossing found: the discriminant vanishes "
-                            "identically on this line")
-    poly = UniPoly(fit, rel=1e-8)
+    poly = UniPoly(pencil_discriminant_fit(pencil), rel=0.0)
     rs = all_roots(poly, cluster_radius=2e-3)
     return rs, 12 - poly.degree
 

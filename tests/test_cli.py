@@ -144,6 +144,10 @@ class TestGroup:
     def test_empty_is_usage_error(self, capsys):
         assert main(["group"]) == 2
 
+    def test_cycles_sharing_a_letter_is_schema_error(self, capsys):
+        assert main(["group", "(1,2)(1,2)"]) == 2
+        assert "shares a letter" in capsys.readouterr().err
+
 
 class TestPencil:
     def test_hesse_pencil(self, capsys):

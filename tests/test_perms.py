@@ -25,6 +25,18 @@ def test_parse_and_print_round_trip():
         Perm.parse("(1,1,2)")
 
 
+@pytest.mark.parametrize("text", ["(1,2)(1,2)", "(1,2,3)(3,4)",
+                                  "(4,5,6)(7,9,8)(6,1)"])
+def test_cycles_sharing_a_letter_are_refused(text):
+    # (1,2)(1,2) is the identity as a product, not the transposition
+    with pytest.raises(SchemaError, match="shares a letter"):
+        Perm.parse(text)
+    cycles = [tuple(int(x) for x in c.split(","))
+              for c in text[1:-1].split(")(")]
+    with pytest.raises(SchemaError, match="shares a letter"):
+        Perm.from_cycles(cycles)
+
+
 def test_composition_is_left_to_right():
     p = Perm.parse("(1,2)")
     q = Perm.parse("(2,3)")

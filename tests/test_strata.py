@@ -26,18 +26,42 @@ from cubicflex import (Certificate, CrossingError, CubicForm, Net,
                        proj_distance, triangle_cubic)
 from cubicflex.errors import RootFindingError
 from cubicflex.forms import (EXP2, MONOMIAL_INDEX, eval_gradient,
-                             greedy_distinct)
+                             gradient_coeffs, greedy_distinct,
+                             substitute_linear)
+from cubicflex.locus import _FLEX_FRAME
 from cubicflex.roots import UniPoly, all_roots
-from cubicflex.strata import (MILNOR, _crossing_newton,
+from cubicflex.strata import (MILNOR, _crossing_newton, _framed_discriminant,
                               _line_multiplication_matrix, _macaulay_dets,
                               classify_all)
+from cubicflex.track import bypass_loop
 from cubicflex.verify import CLASSIFY_CORPUS
 
 M = CubicForm.from_monomials
+# z1^2 z2 + z2^2 z3 + z3^2 z1: smooth, and the extraneous minor of its
+# Macaulay matrix is 0 in the identity frame
+KLEIN = M({(2, 1): 1, (0, 2): 1, (1, 0): 1})
 
 
 def rand_cubic(rng):
     return CubicForm(rng.standard_normal(10) + 1j * rng.standard_normal(10))
+
+
+def nodal_at_e3(rng):
+    """A Gaussian cubic singular at e3: no z3^3, z1 z3^2 or z2 z3^2."""
+    c = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+    c[[MONOMIAL_INDEX[e] for e in ((0, 0), (1, 0), (0, 1))]] = 0
+    return CubicForm(c)
+
+
+def inside_pencils():
+    """Three pencils of singular cubics: two with the common line z1 = 0,
+    two with a common node at e3, and those two moved by a unitary."""
+    rng = np.random.default_rng(70)
+    f0, f1 = nodal_at_e3(rng), nodal_at_e3(rng)
+    U = np.linalg.qr(rng.standard_normal((3, 3))
+                     + 1j * rng.standard_normal((3, 3)))[0]
+    return [(triangle_cubic(), M({(1, 2): 1, (1, 0): 1})), (f0, f1),
+            (f0.transform(U), f1.transform(U))]
 
 
 NAMED_CASES = [
@@ -164,6 +188,42 @@ class TestDiscriminant:
             assert label is StratumLabel.SMOOTH
             assert abs(discriminant_value(f)) > 1e-6
 
+    @pytest.mark.parametrize("case", range(4))
+    def test_frame_independent(self, case):
+        # disc(f(T z)) = det(T)^12 disc(f), for the Klein cubic and three
+        # Gaussian cubics
+        rng = np.random.default_rng(90 + case)
+        f = KLEIN if case == 0 else rand_cubic(rng)
+        T = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        assert discriminant_value(f.transform(T)) == pytest.approx(
+            np.linalg.det(T) ** 12 * discriminant_value(f), rel=1e-9)
+
+    def test_klein_value(self):
+        # real, as for any cubic with real coefficients, and not the
+        # det(U)^12 multiple a frame change would leave in
+        assert discriminant_value(KLEIN) == pytest.approx(729, rel=1e-9)
+
+    def test_vanishing_minor_on_the_unit_circle_takes_another_radius(self):
+        # f1 is scaled so that the member at the sample u = 1 has a
+        # vanishing extraneous minor in the frame: that sample is garbage,
+        # the unit circle's fit leaves a tail above degree 12, and the fit
+        # comes from the next radius
+        rng = np.random.default_rng(4)
+        f0, f1 = rand_cubic(rng), rand_cubic(rng)
+        a0, a1 = (substitute_linear(f.coeffs, _FLEX_FRAME) for f in (f0, f1))
+        minor = [_macaulay_dets(gradient_coeffs(a0 + u * a1))[1]
+                 for u in (1, 1j, -1, -1j)]
+        root = np.roots(np.fft.fft(minor)[::-1])[0]
+        us = np.exp(2j * np.pi * np.arange(25) / 25)
+        unit = np.fft.fft(_framed_discriminant(a0 + us[:, None] * root * a1))
+        assert np.abs(unit[13:]).max() > 1e-6 * np.abs(unit).max()
+        pencil = Pencil(f0, CubicForm(root * f1.coeffs))
+        poly = UniPoly(pencil_discriminant_fit(pencil), rel=0.0)
+        for u in (0.3 + 0.2j, -0.5j, 2.0):
+            assert poly(u) == pytest.approx(discriminant_value(
+                CubicForm(f0.coeffs + u * pencil.f1.coeffs)), rel=1e-9)
+        assert pencil_crossings(pencil).total_multiplicity() == 12
+
     def test_hesse_chart_polynomial_frozen(self):
         # 27 (u^3 + 27)^3, ascending coefficients
         want = np.zeros(13)
@@ -180,11 +240,15 @@ class TestPencilCrossings:
         assert all(c.label is StratumLabel.B31 for c in pc.crossings)
         assert pc.total_multiplicity() == 12
         assert pc.infinite_multiplicity == 3
+        # two triangles tie in the real part, so order by values rounded
+        # to 9 places, as pencil_crossings does
+        def order(u):
+            return np.round(u.real, 9), np.round(u.imag, 9)
+
         finite = sorted((c.parameter[1] / c.parameter[0]
                          for c in pc.crossings if abs(c.parameter[0]) > 0.5),
-                        key=lambda u: (u.real, u.imag))
-        roots = sorted(np.roots([1, 0, 0, 27]),
-                       key=lambda u: (u.real, u.imag))
+                        key=order)
+        roots = sorted(np.roots([1, 0, 0, 27]), key=order)
         assert np.allclose(finite, roots, atol=1e-8)
 
     def test_pencil_through_fermat_twelve_simple_nodes(self):
@@ -214,11 +278,57 @@ class TestPencilCrossings:
         assert all(c.label is StratumLabel.B1 for c in pc.crossings)
 
     def test_pencil_inside_discriminant_raises(self):
-        # both spanning cubics share the line z1 = 0, so every member is
-        # singular and the discriminant vanishes identically
-        p = Pencil(triangle_cubic(), M({(1, 2): 1, (1, 0): 1}))
-        with pytest.raises(CrossingError, match="inside discriminant"):
-            pencil_crossings(p)
+        # every member is singular, so the discriminant vanishes
+        # identically; in the generic frame its samples are rounding noise
+        for f0, f1 in inside_pencils():
+            for chart in (0, 1):
+                with pytest.raises(CrossingError,
+                                   match="inside discriminant"):
+                    pencil_discriminant_fit(Pencil(f0, f1), chart)
+            with pytest.raises(CrossingError, match="inside discriminant"):
+                pencil_crossings(Pencil(f0, f1))
+            with pytest.raises(CrossingError, match="inside discriminant"):
+                bypass_loop(f0, f1, 0.02)
+
+    @pytest.mark.parametrize(
+        "case, draw", [(k, None) for k in range(9)]
+        + [(3, 25), (6, 10), (8, 8), (8, 14)],
+        ids=["cusp-B7"] + [c[1] for c in NAMED_CASES[1:]]
+        + ["moved-B21", "moved-B4", "moved-B7-8", "moved-B7-14"])
+    def test_swapped_pencil_same_crossings(self, case, draw):
+        # Pencil(f1, f0) has the crossings of Pencil(f0, f1) under u -> 1/u;
+        # a special cubic at either end is classified there.  The cusp
+        # (2) and the triple line (10) take every root, so the crossing
+        # Newton runs on none.  A named cubic moved by a Gaussian M puts
+        # a crossing near the end, within the radius of the noisy roots
+        # the end leaves in its own chart's fit until it is divided out
+        if draw is None:
+            rng = np.random.default_rng(60 + case)
+            f0, f1 = ((cusp_family(0), M({(0, 0): 1})) if case == 0
+                      else (NAMED_CASES[case][0], rand_cubic(rng)))
+        else:
+            rng = np.random.default_rng(1000 * case + draw)
+            f1 = rand_cubic(rng)
+            f0 = NAMED_CASES[case][0].transform(
+                rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        pc = pencil_crossings(Pencil(f0, f1))
+        swapped = pencil_crossings(Pencil(f1, f0))
+        assert pc.total_multiplicity() == swapped.total_multiplicity() == 12
+        assert len(pc.crossings) == len(swapped.crossings)
+        for c in pc.crossings:
+            t = c.parameter[::-1]
+            twin = min(swapped.crossings,
+                       key=lambda s: proj_distance(s.parameter, t))
+            assert proj_distance(twin.parameter, t) < 1e-8
+            assert (twin.label, twin.multiplicity) == (c.label,
+                                                       c.multiplicity)
+        assert pc.infinite_multiplicity == sum(
+            c.multiplicity for c in swapped.crossings if c.parameter[1] == 0)
+        if case:
+            # the named cubic is the end u = 0 of one and u = inf of the other
+            end = [c for c in pc.crossings if c.parameter[1] == 0]
+            assert [str(c.label) for c in end] == [NAMED_CASES[case][1]]
+            assert swapped.infinite_multiplicity == end[0].multiplicity
 
     def test_crossing_member_has_nodal_flex_signature(self):
         rng = np.random.default_rng(11)
