@@ -216,16 +216,6 @@ def third_partials(coeffs):
                      np.asarray(coeffs, dtype=complex))
 
 
-def second_partials_matrix(coeffs, point):
-    """Matrices of second partial derivatives at one point (3, 3) or a
-    batch of points (..., 3, 3).  A second partial of a cubic is linear,
-    so by Euler's relation it is the third partials contracted with the
-    point."""
-    P = np.asarray(point, dtype=complex)
-    M = P @ third_partials(coeffs).reshape(3, 9)
-    return M.reshape(P.shape[:-1] + (3, 3))
-
-
 def substitute_linear(coeffs, M):
     """Coefficients of f(M z) for a 3x3 matrix M.  Monomial n is the
     product of the variables in WORD[n]; each becomes a row of M z, and

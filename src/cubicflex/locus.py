@@ -74,19 +74,8 @@ class InflectionSet:
         return tuple(sorted((p.multiplicity for p in self.points),
                             reverse=True))
 
-    def simple_points(self):
-        return [p for p in self.points if p.multiplicity == 1]
-
     def labels(self):
         return [p.label for p in self.points]
-
-    def by_label(self):
-        if any(p.label is None for p in self.points):
-            raise MatchingError("set is unlabelled")
-        return {p.label: p.point for p in self.points}
-
-    def coords_array(self):
-        return np.array([p.point.coords for p in self.points])
 
 
 # ---------------------------------------------------------------------------

@@ -84,11 +84,6 @@ class RootSet:
     def total_multiplicity(self):
         return int(self.multiplicities.sum())
 
-    def by_multiplicity(self):
-        """Sorted multiplicity signature, largest first."""
-        return tuple(sorted((int(m) for m in self.multiplicities),
-                            reverse=True))
-
 
 def _newton_polish(poly, dpoly, z, steps=2):
     # monotone-guarded: a step is kept only if it reduces |p|, so cluster

@@ -33,12 +33,16 @@ the sheet whose end it matches within SEPARATION_GATE times the least
 separation, and a failed match raises TrackingError.  steps_taken
 counts tracked steps only; no lift outlives its loop.
 
-Bypass routes.  The bypass of a crossing on a line through the
-basepoint runs straight toward it, once around it, and back.  Where the
-straight segment comes close to another crossing it detours on a small
-arc around it, on the side it already passes it, so the route stays
-homotopic to the straight one and the lassos of a line stay an ordered
-system whose product is the identity.
+Bypass routes.  The crossings of a line through the basepoint, their
+parameters, multiplicities and labels, are those of
+strata.pencil_crossings, so a line whose crossings it cannot separate
+raises CrossingError.  The bypass of a crossing runs straight toward it,
+once around it, and back.  Where the straight segment comes close to
+another crossing it detours on a small arc around it, on the side it
+already passes it, so the route stays homotopic to the straight one and
+the lassos of a line stay an ordered system whose product is the
+identity.  The bypass of a B1 crossing of multiplicity 1 must give cycle
+type (3, 3, 1, 1, 1), else TrackingError.
 """
 
 from __future__ import annotations
@@ -57,8 +61,7 @@ from .forms import (CubicForm, Pencil, ProjPoint, eval_coeffs,
 from .locus import (FlexEquations, InflectionPoint, InflectionSet,
                     flex_gradients, inflection_points, nearest_labels)
 from .perms import Perm, PermGroup
-from .roots import UniPoly, all_roots
-from .strata import pencil_discriminant_fit
+from .strata import StratumLabel, pencil_crossings
 
 logger = logging.getLogger(__name__)
 
@@ -479,11 +482,14 @@ def track_loop(loop, labels=None):
 # ---------------------------------------------------------------------------
 # bypass construction
 
-def _pencil_roots(basepoint, direction):
-    pencil = Pencil(basepoint, direction)
-    poly = UniPoly(pencil_discriminant_fit(pencil), rel=0.0)
-    rs = all_roots(poly, cluster_radius=2e-3)
-    return rs, 12 - poly.degree
+def _line_crossings(basepoint, direction):
+    """The crossings of the line basepoint + s*direction at finite s, as
+    strata.pencil_crossings finds them, their parameters s, and the
+    multiplicity at s = infinity."""
+    pc = pencil_crossings(Pencil(basepoint, direction))
+    finite = [c for c in pc.crossings if c.parameter[0] != 0]
+    roots = np.array([c.parameter[1] for c in finite], dtype=complex)
+    return finite, roots, pc.infinite_multiplicity
 
 
 def _bypass_segments(basepoint, direction, s_star, radius, others):
@@ -545,16 +551,16 @@ def bypass_loop(basepoint, target, radius):
         raise CrossingError("no crossing found: target coincides with "
                             "the basepoint")
     direction = CubicForm(target.coeffs - basepoint.coeffs)
-    rs, _inf = _pencil_roots(basepoint, direction)
-    if len(rs.roots) == 0:
+    _, roots, _ = _line_crossings(basepoint, direction)
+    if len(roots) == 0:
         raise CrossingError("no crossing found on the line to the target")
-    order = np.argsort(np.abs(rs.roots - 1.0))
-    s_star = complex(rs.roots[order[0]])
+    order = np.argsort(np.abs(roots - 1.0))
+    s_star = complex(roots[order[0]])
     if abs(s_star - 1.0) > 0.45:
         raise CrossingError(
             "no crossing found: nearest discriminant parameter is "
             f"{abs(s_star - 1.0):.3f} away from the target")
-    others = np.delete(rs.roots, order[0])
+    others = np.delete(roots, order[0])
     if any(abs(r - s_star) < 3 * radius for r in others):
         raise CrossingError(
             "crossings too close: another discriminant parameter lies "
@@ -572,19 +578,13 @@ def line_bypass_permutations(basepoint, direction, labels=None,
     """Track the bypasses of every discriminant crossing on the line
     basepoint + s*direction, in path order (sorted by the argument of
     the crossing parameter).  Returns the list of permutations."""
-    rs, inf_mult = _pencil_roots(basepoint, direction)
-    if inf_mult > 0 or len(rs.roots) == 0:
+    crossings, roots, infinite = _line_crossings(basepoint, direction)
+    if infinite:
         raise CrossingError(
             "line has a crossing at infinite parameter; pick another")
-    if np.any(rs.multiplicities > 1):
-        # one circle around a cluster may pass between its crossings
-        raise CrossingError(
-            "crossings too close: two crossings of the line fall within "
-            "the root clustering radius; pick another")
-    roots = np.asarray(rs.roots, dtype=complex)
     if radius is None:
         radius = min(_lasso_radius(roots, roots), 0.05)
-    return _lasso_permutations(basepoint, direction, roots,
+    return _lasso_permutations(basepoint, direction, crossings, roots,
                                range(len(roots)), radius, labels)
 
 
@@ -595,17 +595,28 @@ def _lasso_radius(roots, targets):
     return min(min(gaps, default=np.inf), np.abs(targets).min()) / 3.2
 
 
-def _lasso_permutations(basepoint, direction, roots, targets, radius,
-                        labels):
-    """The permutations of the bypasses of the crossings roots[k], k in
-    targets, in path order: by argument, then modulus."""
+def _lasso_permutations(basepoint, direction, crossings, roots, targets,
+                        radius, labels):
+    """The permutations of the bypasses of the crossings[k], at the
+    parameters roots[k], k in targets, in path order: by argument, then
+    modulus.  The bypass of a B1 crossing of multiplicity 1 turns one
+    node's vanishing cycle, so it must give cycle type (3, 3, 1, 1, 1),
+    else TrackingError."""
     perms = []
     for k in sorted(targets, key=lambda k: (np.angle(roots[k]),
                                             abs(roots[k]))):
         loop = Loop(basepoint, _bypass_segments(
             basepoint, direction, complex(roots[k]), radius,
             np.delete(roots, k)))
-        perms.append(track_loop(loop, labels=labels).perm)
+        perm = track_loop(loop, labels=labels).perm
+        c = crossings[k]
+        if c.label is StratumLabel.B1 and c.multiplicity == 1 \
+                and perm.cycle_type() != (3, 3, 1, 1, 1):
+            raise TrackingError(
+                f"bypass law broken: the bypass of the B1 crossing at "
+                f"s = {roots[k]:.6g} gave cycle type {perm.cycle_type()}, "
+                "not (3, 3, 1, 1, 1)")
+        perms.append(perm)
     return perms
 
 
@@ -659,29 +670,35 @@ def local_monodromy(basepoint_near, stratum_point, radius, probe_count,
     """The group generated by bypasses around the discriminant branches
     meeting a neighborhood of the stratum point: crossings of random
     probe lines through the nearby basepoint, kept when the member lies
-    within 3*radius of the stratum point in the chordal metric."""
+    within 3*radius of the stratum point in the chordal metric.  A probe
+    line whose crossings cannot be found is skipped with a warning; at
+    least one probe line must cross near the stratum point."""
     rng = np.random.default_rng(seed)
     if labels is None:
         labels = _positional_labels(inflection_points(basepoint_near))
     base_scale = np.abs(basepoint_near.coeffs).max()
     stratum = stratum_point.coeffs
-    perms = []
-    for _ in range(probe_count):
+    perms, refused = [], 0
+    for k in range(probe_count):
         delta = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         direction = CubicForm(delta / np.abs(delta).max() * base_scale)
-        rs, _inf = _pencil_roots(basepoint_near, direction)
-        roots = np.asarray(rs.roots, dtype=complex)
-        local = [k for k, r in enumerate(roots)
-                 if proj_distance(basepoint_near.coeffs
-                                  + r * direction.coeffs, stratum)
-                 <= 3 * radius]
+        try:
+            crossings, roots, _ = _line_crossings(basepoint_near, direction)
+        except (NumericalError, DegenerateInputError) as exc:
+            logger.warning("probe line %d skipped: %s", k, exc)
+            refused += 1
+            continue
+        local = [j for j, c in enumerate(crossings)
+                 if proj_distance(c.member.coeffs, stratum) <= 3 * radius]
         if not local:
             continue
-        perms += _lasso_permutations(basepoint_near, direction, roots, local,
+        perms += _lasso_permutations(basepoint_near, direction, crossings,
+                                     roots, local,
                                      _lasso_radius(roots, roots[local]),
                                      labels)
     if not perms:
         raise TrackingError(
             "local monodromy failed: no probe line crossed the "
-            "discriminant near the stratum point")
+            f"discriminant near the stratum point ({refused} of "
+            f"{probe_count} probe lines refused)")
     return PermGroup(perms)

@@ -13,7 +13,7 @@ from cubicflex.forms import (HESSIAN_TENSOR, HESSIAN_TERMS, MONOMIAL_INDEX,
                              MONOMIALS, exact_hessian_coeffs, hessian_coeffs,
                              hessian_directional,
                              eval_coeffs, eval_gradient, substitute_linear,
-                             second_partials_matrix)
+                             third_partials)
 
 
 def rand_form(rng):
@@ -205,13 +205,16 @@ def test_second_partials_matrix_consistent_with_hessian_det():
     rng = np.random.default_rng(11)
     f = rand_form(rng)
     p = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    M = second_partials_matrix(f.coeffs, p)
+    # a second partial of a cubic is linear, so by Euler's relation the
+    # matrix of second partials at p is the third partials contracted
+    # with p
+    M = np.einsum('u,uvw->vw', p, third_partials(f.coeffs))
     assert np.allclose(np.linalg.det(M), eval_coeffs(hessian_coeffs(f.coeffs), p))
     assert np.allclose(M, M.T)
-    # a batch of points gives the stack of the single-point matrices
-    P = np.array([p, 2 * p, rng.standard_normal(3)])
-    assert np.allclose(second_partials_matrix(f.coeffs, P),
-                       [second_partials_matrix(f.coeffs, q) for q in P])
+    # a stack of cubics gives the stack of the single-cubic partials
+    g = rand_form(rng)
+    assert np.allclose(third_partials([f.coeffs, g.coeffs]),
+                       [third_partials(f.coeffs), third_partials(g.coeffs)])
 
 
 def test_transform_is_substitution():

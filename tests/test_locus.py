@@ -364,7 +364,8 @@ class TestFixedFrame:
             g = rng.standard_normal(10) + 1j * rng.standard_normal(10)
             fl = inflection_points(CubicForm(base.coeffs + eps * g))
             assert fl.multiplicity_signature() == (1,) * 9
-            near = proj_distance([0, 0, 1], fl.coords_array()) < 0.2
+            near = proj_distance([0, 0, 1],
+                                 [ip.point.coords for ip in fl.points]) < 0.2
             assert near.sum() == count
 
     @pytest.mark.parametrize("base,key", [
@@ -372,7 +373,9 @@ class TestFixedFrame:
         ids=["nodal-177", "fermat-151"])
     def test_simple_flexes_against_mpmath(self, base, key):
         f, _ = gaussian_image(base, key)
-        for ip in inflection_points(f).simple_points():
+        simple = [ip for ip in inflection_points(f).points
+                  if ip.multiplicity == 1]
+        for ip in simple:
             z = ip.point.coords
             assert proj_distance(z, mp_flex(f.coeffs, z)) < 1e-12
 
@@ -410,7 +413,7 @@ class TestLabelling:
         fl = inflection_points(fermat_cubic())
         lab = label_against(fl, hesse_base_points())
         assert sorted(lab.labels()) == list(range(1, 10))
-        table = lab.by_label()
+        table = {ip.label: ip.point for ip in lab.points}
         for k, q in enumerate(hesse_base_points(), start=1):
             assert proj_distance(table[k].coords, q.coords) < 1e-8
 

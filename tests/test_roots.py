@@ -29,7 +29,7 @@ def test_roots_of_unity_all_simple():
     c[0], c[9] = -1.0, 1.0
     rs = all_roots(c)
     assert rs.total_multiplicity() == 9
-    assert rs.by_multiplicity() == (1,) * 9
+    assert sorted(rs.multiplicities) == [1] * 9
     assert rs.residuals.max() < 1e-12
     expected = np.exp(2j * np.pi * np.arange(9) / 9)
     for r in rs.roots:
@@ -39,7 +39,7 @@ def test_roots_of_unity_all_simple():
 def test_triple_root_merges_into_cluster():
     # (z - 2)^3 expanded
     rs = all_roots(np.array([-8.0, 12.0, -6.0, 1.0]))
-    assert rs.by_multiplicity() == (3,)
+    assert sorted(rs.multiplicities) == [3]
     assert abs(rs.roots[0] - 2.0) < 1e-4
 
 
@@ -60,7 +60,7 @@ def test_degree_conservation_with_multiplicity():
     p = np.polynomial.polynomial.polyfromroots([0, 0, 1.0, 3j, 3j])
     rs = all_roots(p)
     assert rs.total_multiplicity() == 5
-    assert rs.by_multiplicity() == (2, 2, 1)
+    assert sorted(rs.multiplicities) == [1, 2, 2]
 
 
 def test_zero_polynomial_rejected():
@@ -91,7 +91,7 @@ def test_fermat_triangle_resultant_closed_form():
     expected[3], expected[6] = 1.0, 1.0
     assert np.allclose(R.coeffs / R.coeffs[-1], expected)
     rs = all_roots(R)
-    assert rs.by_multiplicity() == (3, 1, 1, 1)
+    assert sorted(rs.multiplicities) == [1, 1, 1, 3]
 
 
 def test_cuspidal_resultant_multiplicity_structure():
@@ -103,11 +103,11 @@ def test_cuspidal_resultant_multiplicity_structure():
     h = g.hessian_form()
     rs = all_roots(resultant_on_chart(g.transform(Z1_OVER_Z3_Z2),
                                       h.transform(Z1_OVER_Z3_Z2)))
-    assert rs.by_multiplicity() == (8,)
+    assert sorted(rs.multiplicities) == [8]
     assert abs(rs.roots[0]) < 1e-6
     rs2 = all_roots(resultant_on_chart(g.transform(Z1_OVER_Z2_Z3),
                                        h.transform(Z1_OVER_Z2_Z3)))
-    assert rs2.by_multiplicity() == (1,)
+    assert sorted(rs2.multiplicities) == [1]
 
 
 def test_identical_curves_raise_common_component():

@@ -376,7 +376,7 @@ class TestPencilCrossings:
         # passes the residual gate
         fit = pencil_discriminant_fit(stratum_pencil('B21', 11)[0], 0)
         rs = all_roots(UniPoly(fit, rel=1e-8), cluster_radius=0.0)
-        assert rs.by_multiplicity() == (1,) * 12
+        assert sorted(rs.multiplicities) == [1] * 12
         assert rs.residuals.max() < 1e-8
         assert np.abs(np.abs(rs.roots) - 147).min() < 1
 

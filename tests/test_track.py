@@ -30,25 +30,35 @@ A bypass around a generic nodal degeneration is locally the `c1` model
 type is (3, 3, 1, 1, 1).
 """
 
+import dataclasses
 import json
+import logging
 from importlib import resources
 
 import numpy as np
 import pytest
 
 from cubicflex.errors import CrossingError, MatchingError, SchemaError, TrackingError
-from cubicflex.forms import (MONOMIALS, CubicForm, cusp_family, fermat_cubic,
-                             node_family, triangle_cubic)
+from cubicflex.forms import (MONOMIALS, CubicForm, Pencil, cusp_family,
+                             fermat_cubic, node_family, triangle_cubic)
 from cubicflex.locus import hesse_base_points, inflection_points, label_against
 from cubicflex.perms import (G1, G2, G3, G4, Perm, PermGroup,
                              conjugate_in_s9, hesse_group, local_cusp_group)
 from cubicflex import track
+from cubicflex.strata import pencil_crossings
 from cubicflex.track import (Arc, Line, Loop, MonodromyResult, bypass_loop,
                              circle_loop, generate_global_monodromy,
                              line_bypass_permutations, local_monodromy,
                              track_loop)
 
 DELTA = 0.05
+
+
+def line_crossing_parameters(base, delta):
+    """The finite crossing parameters s of the line base + s*delta."""
+    s = [c.chart_value()
+         for c in pencil_crossings(Pencil(base, delta)).crossings]
+    return np.array([v for v in s if v is not None])
 
 
 def unit_coeff(i, j):
@@ -381,8 +391,7 @@ class TestBypass:
     def test_route_clears_other_crossings(self):
         base, target = fermat_cubic(), nodal_target()
         delta = target.coeffs - base.coeffs
-        rs, _ = track._pencil_roots(base, CubicForm(delta))
-        roots = np.asarray(rs.roots)
+        roots = line_crossing_parameters(base, CubicForm(delta))
         star = np.argmin(np.abs(roots - 1.0))
         loop = bypass_loop(base, target, 0.02)
         ts = np.linspace(0.0, 1.0, 2001)
@@ -473,7 +482,7 @@ def first_rng0_line():
     takes for it."""
     rng = np.random.default_rng(0)
     delta = CubicForm(rng.standard_normal(10) + 1j * rng.standard_normal(10))
-    roots = np.asarray(track._pencil_roots(fermat_cubic(), delta)[0].roots)
+    roots = line_crossing_parameters(fermat_cubic(), delta)
     return delta, roots, min(track._lasso_radius(roots, roots), 0.05)
 
 
@@ -579,14 +588,40 @@ class TestGlobalMonodromy:
             prod = prod * p
         assert prod == Perm.identity()
 
-    def test_line_with_clustered_crossings_raises(self):
-        # two crossings of this line fall within the 2e-3 clustering
-        # radius; one circle around both came back (6,2,1)
+    def test_line_with_near_crossings(self):
+        # two crossings of this line lie 1.0e-3 apart; one circle around
+        # both would come back (6,2,1)
         rng = np.random.default_rng(90)
         delta = CubicForm(rng.standard_normal(10)
                           + 1j * rng.standard_normal(10))
-        with pytest.raises(CrossingError, match="clustering radius"):
+        roots = line_crossing_parameters(fermat_cubic(), delta)
+        gaps = np.abs(roots[:, None] - roots[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        assert 0.9e-3 < gaps.min() < 1.1e-3
+        perms = line_bypass_permutations(fermat_cubic(), delta)
+        assert [p.cycle_type() for p in perms] == [(3, 3, 1, 1, 1)] * 12
+        prod = Perm.identity()
+        for p in perms:
+            prod = prod * p
+        assert prod == Perm.identity()
+
+    def test_bypass_breaking_the_law_raises(self, monkeypatch):
+        # a B1 bypass of multiplicity 1 that comes back as the identity
+        tracked, calls = track.track_loop, []
+
+        def one_identity(loop, labels=None):
+            res = tracked(loop, labels)
+            calls.append(loop)
+            if len(calls) == 5:
+                return dataclasses.replace(res, perm=Perm.identity())
+            return res
+
+        monkeypatch.setattr(track, "track_loop", one_identity)
+        delta = first_rng0_line()[0]
+        with pytest.raises(TrackingError, match="bypass law broken: the "
+                           "bypass of the B1 crossing at s = "):
             line_bypass_permutations(fermat_cubic(), delta)
+        assert len(calls) == 5
 
     def test_line_product_is_identity(self):
         rng = np.random.default_rng(7)
@@ -630,6 +665,21 @@ class TestLocalMonodromy:
         assert G.orbit_sizes() == (8, 1)
         assert conjugate_in_s9(G, local_cusp_group()) is not None
 
+    def test_triple_line_never_gives_the_trivial_group(self, caplog):
+        # near the triple line the fitted roots of the discriminant are
+        # off, and a lasso that encloses no crossing gives the identity
+        S = CubicForm.from_monomials({(3, 0): 1})
+        base = CubicForm(S.coeffs / np.abs(S.coeffs).max()
+                         + 0.01 * fermat_cubic().coeffs)
+        with caplog.at_level(logging.WARNING, logger="cubicflex.track"):
+            with pytest.raises(TrackingError,
+                               match=r"\(3 of 3 probe lines refused\)"):
+                local_monodromy(base, S, radius=0.01, probe_count=3, seed=11)
+        assert [r.getMessage()[:36] for r in caplog.records] == [
+            f"probe line {k} skipped: count mismatch" for k in range(3)]
+        G = local_monodromy(base, S, radius=0.01, probe_count=6, seed=11)
+        assert G.order > 1
+
 
 def bundled_loop(name):
     data = resources.files("cubicflex") / "data" / f"{name}.json"
@@ -665,8 +715,7 @@ class TestStepGrowth:
         for _ in range(2):
             delta = CubicForm(rng.standard_normal(10)
                               + 1j * rng.standard_normal(10))
-            rs, _ = track._pencil_roots(base, delta)
-            roots = np.asarray(rs.roots)
+            roots = line_crossing_parameters(base, delta)
             gaps = np.abs(roots[:, None] - roots[None, :])
             np.fill_diagonal(gaps, np.inf)
             for k in rng.choice(len(roots), 3, replace=False):
