@@ -18,7 +18,7 @@ from .locus import (InflectionPoint, InflectionSet, SingularPoint,
                     SingularSet, hesse_base_points, inflection_points,
                     label_against, singular_points, singular_sets)
 from .perms import (Perm, PermGroup, closure, conjugate_in_s9, coset_action,
-                    hesse_group, local_cusp_group, verify_relations)
+                    hesse_group, local_cusp_group)
 from .strata import (Certificate, Crossing, NetCusp, PencilCrossings,
                      StratumLabel, classify, classify_all, discriminant_value,
                      net_cusp_members, pencil_crossings,
@@ -42,7 +42,7 @@ __all__ = [
     "hesse_base_points", "inflection_points", "label_against",
     "singular_points", "singular_sets",
     "Perm", "PermGroup", "closure", "conjugate_in_s9", "coset_action",
-    "hesse_group", "local_cusp_group", "verify_relations",
+    "hesse_group", "local_cusp_group",
     "Certificate", "Crossing", "NetCusp", "PencilCrossings", "StratumLabel",
     "classify", "classify_all", "discriminant_value", "net_cusp_members",
     "pencil_crossings",

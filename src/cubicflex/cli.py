@@ -15,10 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import shlex
 import sys
-
-import numpy as np
 
 from .errors import NumericalError, SchemaError, VerificationError
 from .forms import CubicForm, Net, Pencil
@@ -26,7 +23,7 @@ from .locus import hesse_base_points, inflection_points, label_against
 from .perms import Perm, PermGroup
 from .strata import classify, net_cusp_members, pencil_crossings
 from .track import Loop, track_loop
-from .verify import SUITES, effective_config, run_suite
+from .verify import SUITES, run_suite
 
 
 def _load_json(path):
@@ -47,10 +44,8 @@ def _load_loop(path):
     return Loop.from_json_dict(_load_json(path))
 
 
-def _dump(payload, args):
-    text = json.dumps(payload, indent=None if args.json else 1,
-                      sort_keys=True)
-    print(text)
+def _dump(payload):
+    print(json.dumps(payload, indent=1, sort_keys=True))
 
 
 def _complex_pair(z):
@@ -68,25 +63,13 @@ def _inflection_set_dict(infl):
                        for ip in infl.points]}
 
 
-def _build_config(args):
-    overrides = {}
-    if args.config:
-        doc = _load_json(args.config)
-        if not isinstance(doc, dict):
-            raise SchemaError("config file must hold a JSON object")
-        overrides.update(doc)
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    return effective_config(overrides)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_inflect(args):
     f = _load_cubic(args.cubic)
     infl = inflection_points(f)
-    _dump(_inflection_set_dict(infl), args)
+    _dump(_inflection_set_dict(infl))
     return 0
 
 
@@ -104,7 +87,7 @@ def cmd_monodromy(args):
            "segments_retraced": result.segments_retraced,
            "min_step_taken": result.min_step_taken,
            "min_pairwise_separation": result.min_pairwise_separation,
-           "max_residual": result.max_residual}, args)
+           "max_residual": result.max_residual})
     return 0
 
 
@@ -126,14 +109,14 @@ def cmd_group(args):
            "transitivity": {str(k): G.is_k_transitive(k)
                             for k in (1, 2, 3)},
            "stabilizer_orders": {str(x): G.stabilizer(x).order
-                                 for x in range(1, 10)}}, args)
+                                 for x in range(1, 10)}})
     return 0
 
 
 def cmd_classify(args):
     f = _load_cubic(args.cubic)
     label, cert = classify(f)
-    _dump({"stratum": str(label), "certificate": cert.to_json_dict()}, args)
+    _dump({"stratum": str(label), "certificate": cert.to_json_dict()})
     return 0
 
 
@@ -146,7 +129,7 @@ def cmd_pencil(args):
                           if c.chart_value() is not None else "infinity",
                           "multiplicity": c.multiplicity,
                           "stratum": str(c.label)}
-                         for c in pc.crossings]}, args)
+                         for c in pc.crossings]})
     return 0
 
 
@@ -158,7 +141,7 @@ def cmd_cusps(args):
            "members": [{"alpha": _complex_pair(c.alpha),
                         "beta": _complex_pair(c.beta),
                         "cusp_point": _point_dict(c.point)}
-                       for c in cusps]}, args)
+                       for c in cusps]})
     return 0
 
 
@@ -167,18 +150,13 @@ def cmd_invariants(args):
     chain = invariant_chain()
     _dump({"branch_curve": vars(chain["branch_curve"]),
            "dual_curve": vars(chain["dual_curve"]),
-           "surface": vars(chain["surface"])}, args)
+           "surface": vars(chain["surface"])})
     return 0
 
 
 def cmd_paper_verify(args):
-    cfg = _build_config(args)
-    if args.print_config:
-        print(json.dumps(cfg, indent=1, sort_keys=True))
-        return 0
-    records = run_suite(args.suite, cfg)
-    command = shlex.join(sys.argv[1:]) if sys.argv[0].endswith(
-        ("cubicflex", "cli.py")) else args.suite
+    records = run_suite(args.suite, args.seed)
+    command = f"paper-verify --suite {args.suite} --seed {args.seed}"
     if args.out:
         with open(args.out, "w") as fh:
             for rec in records:
@@ -201,11 +179,6 @@ def cmd_paper_verify(args):
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(sub):
-    sub.add_argument("--json", action="store_true",
-                     help="compact machine-readable output")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="cubicflex",
@@ -214,7 +187,6 @@ def build_parser():
 
     p = subs.add_parser("inflect", help="inflection points of a cubic")
     p.add_argument("cubic", help="cubic JSON file")
-    _add_common(p)
     p.set_defaults(fn=cmd_inflect)
 
     p = subs.add_parser("monodromy", help="track a loop file")
@@ -223,45 +195,36 @@ def build_parser():
                    default="positional",
                    help="label basepoint flexes positionally or against "
                         "the nine shared flexes of the Fermat pencil")
-    _add_common(p)
     p.set_defaults(fn=cmd_monodromy)
 
     p = subs.add_parser("group", help="group generated by permutations")
     p.add_argument("perms", nargs="*",
                    help="cycle strings like '(2,8,5)(3,6,9)' or loop files")
-    _add_common(p)
     p.set_defaults(fn=cmd_group)
 
     p = subs.add_parser("classify", help="stratum of a singular cubic")
     p.add_argument("cubic", help="cubic JSON file")
-    _add_common(p)
     p.set_defaults(fn=cmd_classify)
 
     p = subs.add_parser("pencil", help="discriminant crossings of a pencil")
     p.add_argument("cubic0")
     p.add_argument("cubic1")
-    _add_common(p)
     p.set_defaults(fn=cmd_pencil)
 
     p = subs.add_parser("cusps", help="cuspidal members of a net")
     p.add_argument("cubic0")
     p.add_argument("cubic1")
     p.add_argument("cubic2")
-    _add_common(p)
     p.set_defaults(fn=cmd_cusps)
 
     p = subs.add_parser("invariants", help="integer invariant chain")
-    _add_common(p)
     p.set_defaults(fn=cmd_invariants)
 
     p = subs.add_parser("paper-verify", help="run verification suites")
     p.add_argument("--suite", choices=SUITES + ("all",), default="all")
     p.add_argument("--out", help="write JSONL report here")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int, help="seed override")
-    p.add_argument("--print-config", action="store_true",
-                   help="print the effective configuration and exit")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the suites' random draws (default 0)")
     p.set_defaults(fn=cmd_paper_verify)
     return parser
 

@@ -254,9 +254,6 @@ class CubicForm:
             c[MONOMIAL_INDEX[(i, j)]] = v
         return cls(c)
 
-    def coeff(self, i, j):
-        return self.coeffs[MONOMIAL_INDEX[(i, j)]]
-
     def normalize(self):
         """Scale so the coefficient of largest modulus is exactly 1."""
         n = int(np.argmax(np.abs(self.coeffs)))
@@ -279,10 +276,6 @@ class CubicForm:
     def __call__(self, point):
         p = point.coords if isinstance(point, ProjPoint) else point
         return eval_coeffs(self.coeffs, p)
-
-    def gradient(self, point):
-        p = point.coords if isinstance(point, ProjPoint) else point
-        return eval_gradient(self.coeffs, p)
 
     def hessian_form(self):
         """The Hessian of this cubic as a new cubic form, with correctly
@@ -357,9 +350,6 @@ class ProjPoint:
         v = v / v[int(np.argmax(m >= (1 - 1e-9) * m.max()))]
         v.flags.writeable = False
         object.__setattr__(self, 'coords', v)
-
-    def distance(self, other):
-        return proj_distance(self.coords, other.coords)
 
     def __repr__(self):
         return ("ProjPoint(" +

@@ -67,9 +67,6 @@ class InflectionPoint:
 class InflectionSet:
     points: tuple
 
-    def total_multiplicity(self):
-        return sum(p.multiplicity for p in self.points)
-
     def multiplicity_signature(self):
         return tuple(sorted((p.multiplicity for p in self.points),
                             reverse=True))
@@ -656,7 +653,7 @@ def hesse_base_points():
     return [ProjPoint(r) for r in rows]
 
 
-def label_against(infl, reference, matching_radius=None):
+def label_against(infl, reference):
     """Attach labels to an InflectionSet by nearest-point matching.
 
     reference: a list of ProjPoint (labels are positions 1..n) or an
@@ -672,7 +669,7 @@ def label_against(infl, reference, matching_radius=None):
     pts = list(infl.points)
     found = nearest_labels([ip.point.coords for ip in pts],
                            [p.coords for _, p in ref_pairs],
-                           [lbl for lbl, _ in ref_pairs], matching_radius)
+                           [lbl for lbl, _ in ref_pairs])
     labelled = [InflectionPoint(ip.point, ip.multiplicity, lbl)
                 for ip, lbl in zip(pts, found)]
     labelled.sort(key=lambda ip: ip.label)

@@ -162,9 +162,6 @@ class PermGroup:
     def __eq__(self, other):
         return self.elements == other.elements
 
-    def __le__(self, other):
-        return self.elements <= other.elements
-
     def orbits(self):
         """Orbits on 1..9, each sorted, ordered by smallest element."""
         seen = set()
@@ -306,37 +303,6 @@ def conjugate_in_s9(G, H):
     if extend([[h.images for h in H.elements]] * len(gens)):
         return Perm(s)
     return None
-
-
-def verify_relations(env, relations):
-    """Evaluate word equations like "g1*g2*g1 == g2*g1*g2" or "g1^3 == ()".
-
-    env maps names to Perms.  Returns a list of booleans, one per relation.
-    """
-    results = []
-    for rel in relations:
-        if "==" not in rel:
-            raise SchemaError(f"relation needs '==': {rel!r}")
-        lhs, rhs = rel.split("==")
-        results.append(_eval_word(lhs, env) == _eval_word(rhs, env))
-    return results
-
-
-def _eval_word(text, env):
-    s = text.strip()
-    if s == "()":
-        return Perm.identity()
-    acc = Perm.identity()
-    for factor in s.split("*"):
-        factor = factor.strip()
-        m = re.fullmatch(r"(\w+)(?:\^(-?\d+))?", factor)
-        if not m:
-            raise SchemaError(f"bad factor {factor!r}")
-        name, exp = m.group(1), int(m.group(2) or 1)
-        if name not in env:
-            raise SchemaError(f"unknown generator {name!r}")
-        acc = acc * (env[name] ** exp)
-    return acc
 
 
 # the standard generators of the monodromy group on the nine labels

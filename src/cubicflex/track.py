@@ -42,7 +42,8 @@ another crossing it detours on a small arc around it, on the side it
 already passes it, so the route stays homotopic to the straight one and
 the lassos of a line stay an ordered system whose product is the
 identity.  The bypass of a B1 crossing of multiplicity 1 must give cycle
-type (3, 3, 1, 1, 1), else TrackingError.
+type (3, 3, 1, 1, 1), and the ordered product of the bypasses of a whole
+line must be the identity, else TrackingError.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import numpy as np
 from .errors import (CrossingError, DegenerateInputError, MatchingError,
                      NumericalError, SchemaError, TrackingError)
 from . import newton
-from .forms import (CubicForm, Pencil, ProjPoint, eval_coeffs,
+from .forms import (CubicForm, Pencil, eval_coeffs,
                     hessian_coeffs, hessian_directional, monomial_values,
                     proj_distance)
 from .locus import (FlexEquations, InflectionPoint, InflectionSet,
@@ -230,10 +231,10 @@ class Loop:
                    tuple(_segment_from_json(s) for s in d["segments"]))
 
 
-def circle_loop(center, direction, radius, turns=1.0):
+def circle_loop(center, direction, radius):
     """A full-circle loop a(t) = center + radius e^{2 pi i t} direction,
     based at its t = 0 point."""
-    arc = Arc(center, direction, float(radius), 0.0, float(turns))
+    arc = Arc(center, direction, float(radius), 0.0, 1.0)
     return Loop(CubicForm(arc.value(0.0)), (arc,))
 
 
@@ -573,19 +574,30 @@ def bypass_loop(basepoint, target, radius):
                                             s_star, radius, others))
 
 
-def line_bypass_permutations(basepoint, direction, labels=None,
-                             radius=None):
+def line_bypass_permutations(basepoint, direction, labels=None):
     """Track the bypasses of every discriminant crossing on the line
     basepoint + s*direction, in path order (sorted by the argument of
-    the crossing parameter).  Returns the list of permutations."""
+    the crossing parameter).  Returns the list of permutations.
+
+    The bypasses of a whole line make an ordered system of lassos around
+    all its crossings, so their ordered product must be the identity,
+    else TrackingError."""
     crossings, roots, infinite = _line_crossings(basepoint, direction)
     if infinite:
         raise CrossingError(
             "line has a crossing at infinite parameter; pick another")
-    if radius is None:
-        radius = min(_lasso_radius(roots, roots), 0.05)
-    return _lasso_permutations(basepoint, direction, crossings, roots,
-                               range(len(roots)), radius, labels)
+    perms = _lasso_permutations(basepoint, direction, crossings, roots,
+                                range(len(roots)),
+                                min(_lasso_radius(roots, roots), 0.05),
+                                labels)
+    product = Perm.identity()
+    for p in perms:
+        product = product * p
+    if product != Perm.identity():
+        raise TrackingError(
+            f"product law broken: the ordered product of the line's "
+            f"{len(perms)} bypasses is {product}, not the identity")
+    return perms
 
 
 def _lasso_radius(roots, targets):

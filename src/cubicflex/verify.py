@@ -4,14 +4,15 @@ Each suite runs a batch of named checks — exact group facts, tracked
 monodromy experiments, stratum classifications, discriminant counts,
 and integer invariants — and returns RunRecords suitable for JSONL
 reporting.  A record stores what was expected, what was observed, and
-the configuration that produced it, so a run can be replayed.
+the seed that produced it, so a run can be replayed.  Every other
+setting is a module constant, so the expected values are fixed.
 """
 
 from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,47 +22,19 @@ from .forms import (CubicForm, Net, Pencil, cusp_family, fermat_cubic,
 from .invariants import (covering_euler, hurwitz_double_cover_genus,
                          invariant_chain, noether_chi, plane_curve_genus)
 from .locus import hesse_base_points, inflection_points, label_against
-from .perms import (G0, G1, G2, G3, G4, Perm, PermGroup, closure,
-                    conjugate_in_s9, coset_action, hesse_group,
-                    local_cusp_group)
-from .strata import (StratumLabel, classify, classify_all, net_cusp_members,
-                     pencil_crossings)
+from .perms import (G0, G1, G2, G3, G4, Perm, PermGroup, conjugate_in_s9,
+                    coset_action, hesse_group, local_cusp_group)
+from .strata import classify, classify_all, net_cusp_members, pencil_crossings
 from .track import (circle_loop, global_line_outcomes, group_of_lines,
                     local_monodromy, track_loop)
 
-DEFAULT_CONFIG = {
-    "seed": 0,
-    "delta": 0.05,
-    "global_lines": 2,
-    "local_probes": 3,
-    "pencil_samples": 20,
-}
+# the settings of every suite: the expected values are stated for these
+DELTA = 0.05
+GLOBAL_LINES = 2
+LOCAL_PROBES = 3
+PENCIL_SAMPLES = 20
 
 SUITES = ("group", "local", "global", "strata", "counts", "invariants")
-
-
-def effective_config(overrides=None):
-    """DEFAULT_CONFIG with the overrides applied.  A key that
-    DEFAULT_CONFIG does not have raises SchemaError, and so does a value
-    of the wrong kind: delta must be a finite number above 0, seed an
-    integer of at least 0 and every count an integer of at least 1."""
-    overrides = overrides or {}
-    unknown = sorted(set(overrides) - set(DEFAULT_CONFIG))
-    if unknown:
-        raise SchemaError("unknown config key(s): "
-                          + ", ".join(map(repr, unknown)))
-    for key, v in overrides.items():
-        number = isinstance(v, (int, float)) and not isinstance(v, bool)
-        if isinstance(DEFAULT_CONFIG[key], float):
-            kind, ok = "a finite number above 0", number and 0 < v < np.inf
-        else:
-            least = 0 if key == "seed" else 1
-            kind = f"an integer of at least {least}"
-            ok = number and isinstance(v, int) and v >= least
-        if not ok:
-            raise SchemaError(f"config key {key!r} must be {kind}, "
-                              f"not {v!r}")
-    return {**DEFAULT_CONFIG, **overrides}
 
 
 @dataclass(frozen=True)
@@ -74,20 +47,18 @@ class RunRecord:
     detail: str = ""
     seed: int = 0
     elapsed: float = 0.0
-    config: dict = field(default_factory=dict)
 
     def to_json_dict(self):
         return {"suite": self.suite, "name": self.name,
                 "passed": self.passed, "expected": self.expected,
                 "observed": self.observed, "detail": self.detail,
-                "seed": self.seed, "elapsed": round(self.elapsed, 3),
-                "config": self.config}
+                "seed": self.seed, "elapsed": round(self.elapsed, 3)}
 
 
 class _Recorder:
-    def __init__(self, suite, cfg):
+    def __init__(self, suite, seed):
         self.suite = suite
-        self.cfg = cfg
+        self.seed = seed
         self.records = []
 
     def check(self, name, expected, fn, report_only=False):
@@ -105,16 +76,15 @@ class _Recorder:
         self.records.append(RunRecord(
             suite=self.suite, name=name, passed=passed,
             expected=str(expected), observed=str(observed), detail=detail,
-            seed=self.cfg.get("seed", 0), elapsed=time.perf_counter() - t0,
-            config=self.cfg))
+            seed=self.seed, elapsed=time.perf_counter() - t0))
         return self.records[-1]
 
 
 # ---------------------------------------------------------------------------
 # suites
 
-def suite_group(cfg):
-    r = _Recorder("group", cfg)
+def suite_group(seed):
+    r = _Recorder("group", seed)
     hes = hesse_group()
     hes1 = local_cusp_group()
     r.check("hessian_group_order", 216, lambda: hes.order)
@@ -163,18 +133,14 @@ def _unit_form(i, j):
     return CubicForm.from_monomials({(i, j): 1})
 
 
-def _coordinate_loops(delta):
-    return (circle_loop(node_family(0, delta, delta), _unit_form(3, 0), delta),
-            circle_loop(node_family(delta, 0, delta), _unit_form(0, 3), delta),
-            circle_loop(node_family(delta, delta, 0), _unit_form(0, 0), delta))
-
-
-def suite_local(cfg):
-    r = _Recorder("local", cfg)
-    delta = cfg["delta"]
-    base = node_family(delta, delta, delta)
+def suite_local(seed):
+    r = _Recorder("local", seed)
+    base = node_family(DELTA, DELTA, DELTA)
     qlabels = label_against(inflection_points(base), hesse_base_points())
-    c1, c2, c3 = _coordinate_loops(delta)
+    c1, c2, c3 = (
+        circle_loop(node_family(0, DELTA, DELTA), _unit_form(3, 0), DELTA),
+        circle_loop(node_family(DELTA, 0, DELTA), _unit_form(0, 3), DELTA),
+        circle_loop(node_family(DELTA, DELTA, 0), _unit_form(0, 0), DELTA))
     r.check("loop_c1", str(G2),
             lambda: str(track_loop(c1, labels=qlabels).perm))
     r.check("loop_c2", str(G3),
@@ -191,24 +157,24 @@ def suite_local(cfg):
     r.check("nodal_branch_group", (3, [(3, 3, 1, 1, 1)]), nodal_group)
 
     def local_group(target):
-        G = local_monodromy(base, target, radius=delta,
-                            probe_count=cfg["local_probes"],
-                            seed=cfg["seed"] + 11, labels=qlabels)
+        G = local_monodromy(base, target, radius=DELTA,
+                            probe_count=LOCAL_PROBES,
+                            seed=seed + 11, labels=qlabels)
         return (G.order, G.orbits())
     orb9 = [(1, 4, 7), (2, 5, 8), (3, 6, 9)]
     r.check("triangle_stratum_group", (9, orb9),
             lambda: local_group(triangle_cubic()))
     r.check("conic_line_stratum_group", (9, orb9),
-            lambda: local_group(node_family(0, 0, delta)))
+            lambda: local_group(node_family(0, 0, DELTA)))
 
-    cusp_loop = circle_loop(cusp_family(0), _unit_form(0, 0), delta)
+    cusp_loop = circle_loop(cusp_family(0), _unit_form(0, 0), DELTA)
     r.check("cusp_circle_cycle_type", (6, 2, 1),
             lambda: track_loop(cusp_loop).perm.cycle_type())
 
     def cusp_group():
-        G = local_monodromy(cusp_family(delta), cusp_family(0),
-                            radius=delta, probe_count=cfg["local_probes"],
-                            seed=cfg["seed"] + 11)
+        G = local_monodromy(cusp_family(DELTA), cusp_family(0),
+                            radius=DELTA, probe_count=LOCAL_PROBES,
+                            seed=seed + 11)
         conj = conjugate_in_s9(G, local_cusp_group())
         return (G.order, G.orbit_sizes(), conj is not None)
     r.check("cusp_stratum_group", (24, (8, 1), True), cusp_group)
@@ -217,24 +183,23 @@ def suite_local(cfg):
         stratum = CubicForm.from_monomials({(1, 0): 1, (0, 2): -1})
         basepoint = CubicForm(stratum.coeffs
                               + 0.05 * fermat_cubic().coeffs)
-        G = local_monodromy(basepoint, stratum, radius=delta,
-                            probe_count=cfg["local_probes"],
-                            seed=cfg["seed"] + 11)
+        G = local_monodromy(basepoint, stratum, radius=DELTA,
+                            probe_count=LOCAL_PROBES,
+                            seed=seed + 11)
         return G.order
     r.check("tacnode_stratum_group_order", "reported",
             tacnode_group_order, report_only=True)
     return r.records
 
 
-def suite_global(cfg):
-    r = _Recorder("global", cfg)
+def suite_global(seed):
+    r = _Recorder("global", seed)
     f = fermat_cubic()
 
     @functools.cache
     def lines():
         # each line is tracked once and feeds both checks
-        return global_line_outcomes(f, cfg["global_lines"],
-                                    seed=cfg["seed"] + 7)
+        return global_line_outcomes(f, GLOBAL_LINES, seed=seed + 7)
 
     def group_facts():
         G = group_of_lines(lines())
@@ -252,7 +217,7 @@ def suite_global(cfg):
                 prod = prod * p
             outcomes.append((len(perms), prod == Perm.identity()))
         return outcomes
-    expected = [(12, True)] * cfg["global_lines"]
+    expected = [(12, True)] * GLOBAL_LINES
     r.check("per_line_identity_product", expected, line_products)
     return r.records
 
@@ -273,14 +238,14 @@ CLASSIFY_CORPUS = (
 )
 
 
-def suite_strata(cfg):
-    r = _Recorder("strata", cfg)
+def suite_strata(seed):
+    r = _Recorder("strata", seed)
     for name, make, want in CLASSIFY_CORPUS:
         r.check(f"classify_{name}", want,
                 lambda make=make: str(classify(make())[0]))
 
     def pgl_invariance():
-        rng = np.random.default_rng(cfg["seed"] + 5)
+        rng = np.random.default_rng(seed + 5)
         for name, make, want in CLASSIFY_CORPUS:
             M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             if str(classify(make().transform(M))[0]) != want:
@@ -304,13 +269,13 @@ def suite_strata(cfg):
     return r.records
 
 
-def suite_counts(cfg):
-    r = _Recorder("counts", cfg)
-    rng = np.random.default_rng(cfg["seed"] + 20)
+def suite_counts(seed):
+    r = _Recorder("counts", seed)
+    rng = np.random.default_rng(seed + 20)
 
     def pencil_multiplicities():
         bad = []
-        for k in range(cfg["pencil_samples"]):
+        for k in range(PENCIL_SAMPLES):
             f0 = CubicForm(rng.standard_normal(10)
                            + 1j * rng.standard_normal(10))
             f1 = CubicForm(rng.standard_normal(10)
@@ -335,8 +300,8 @@ def suite_counts(cfg):
     return r.records
 
 
-def suite_invariants(cfg):
-    r = _Recorder("invariants", cfg)
+def suite_invariants(seed):
+    r = _Recorder("invariants", seed)
     r.check("dual_curve_genus", 10, lambda: plane_curve_genus(18, 84, 42))
     r.check("branch_curve_genus", 10, lambda: plane_curve_genus(12, 21, 24))
     r.check("ramification_genus", 31,
@@ -364,15 +329,17 @@ _SUITE_FUNCS = {
 }
 
 
-def run_suite(name, overrides=None):
-    """Run one suite ('all' for every suite) and return RunRecords."""
-    cfg = effective_config(overrides)
+def run_suite(name, seed=0):
+    """Run one suite ('all' for every suite) on the given seed and return
+    RunRecords.  A negative seed raises SchemaError."""
+    if seed < 0:
+        raise SchemaError(f"seed must be at least 0, not {seed}")
     if name == "all":
         records = []
         for suite in SUITES:
-            records.extend(_SUITE_FUNCS[suite](cfg))
+            records.extend(_SUITE_FUNCS[suite](seed))
         return records
     if name not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {name!r}; "
                          f"choose from {SUITES + ('all',)}")
-    return _SUITE_FUNCS[name](cfg)
+    return _SUITE_FUNCS[name](seed)

@@ -434,8 +434,10 @@ class TestLabelling:
         refs = [ProjPoint(np.asarray(q, dtype=complex)
                           + 0.01 * rng.standard_normal(3))
                 for q in BASE_POINTS]
-        with pytest.raises(MatchingError):
-            label_against(fl, refs, matching_radius=1e-4)
+        with pytest.raises(MatchingError, match="beyond the matching radius"):
+            nearest_labels([ip.point.coords for ip in fl.points],
+                           [q.coords for q in refs], list(range(1, 10)),
+                           radius=1e-4)
 
     def test_ambiguous_matching_rejected(self):
         fl = inflection_points(fermat_cubic())

@@ -623,6 +623,26 @@ class TestGlobalMonodromy:
             line_bypass_permutations(fermat_cubic(), delta)
         assert len(calls) == 5
 
+    def test_broken_product_raises(self, monkeypatch):
+        # one B1 bypass comes back inverted: its cycle type is still
+        # (3, 3, 1, 1, 1), so only the product law can catch it
+        tracked, calls = track.track_loop, []
+
+        def one_inverted(loop, labels=None):
+            res = tracked(loop, labels)
+            calls.append(loop)
+            if len(calls) == 5:
+                return dataclasses.replace(res, perm=res.perm.inverse())
+            return res
+
+        monkeypatch.setattr(track, "track_loop", one_inverted)
+        delta = first_rng0_line()[0]
+        with pytest.raises(TrackingError, match=r"product law broken: the "
+                           r"ordered product of the line's 12 bypasses is "
+                           r"\(\d"):
+            line_bypass_permutations(fermat_cubic(), delta)
+        assert len(calls) == 12
+
     def test_line_product_is_identity(self):
         rng = np.random.default_rng(7)
         delta = CubicForm(rng.standard_normal(10)
