@@ -244,6 +244,14 @@ class CubicForm:
         c.flags.writeable = False
         object.__setattr__(self, 'coeffs', c)
 
+    def __eq__(self, other):
+        return isinstance(other, CubicForm) and np.array_equal(self.coeffs,
+                                                               other.coeffs)
+
+    def __hash__(self):
+        # tolist hashes -0.0 as 0.0, which compares equal to it
+        return hash(tuple(self.coeffs.tolist()))
+
     @classmethod
     def from_monomials(cls, entries):
         """Build from a {(i, j): coefficient} mapping."""
@@ -350,6 +358,13 @@ class ProjPoint:
         v = v / v[int(np.argmax(m >= (1 - 1e-9) * m.max()))]
         v.flags.writeable = False
         object.__setattr__(self, 'coords', v)
+
+    def __eq__(self, other):
+        return isinstance(other, ProjPoint) and np.array_equal(self.coords,
+                                                               other.coords)
+
+    def __hash__(self):
+        return hash(tuple(self.coords.tolist()))
 
     def __repr__(self):
         return ("ProjPoint(" +

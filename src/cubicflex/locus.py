@@ -15,11 +15,12 @@ its binary form.  Otherwise they are common zeros of the three partial
 conics: two fixed generic combinations of the conics meet in at most
 four points, found exactly by splitting a line pair of their pencil.
 A local normal-form analysis names each near-singular one (node / cusp /
-tacnode), and Gauss-Newton through the same core pins it on a system
-that is regular at its kind, deflated at a cusp or tacnode.
-singular_sets carries a whole stack of cubics through each of these
-steps at once, as stacked determinants, eigenvalues, SVDs and one Newton
-solve, and singular_points is its stack of one.
+tacnode), and Gauss-Newton pins it on a system regular at its kind,
+{grad f = 0} deflated by det H at a cusp and again at a tacnode.  One
+jet, _jet, builds every singular-point system, here and in strata, in
+the chart of the point's largest coordinate.  singular_sets carries a
+stack of cubics through each step at once, and singular_points is its
+stack of one.
 """
 
 from __future__ import annotations
@@ -233,8 +234,56 @@ def _singular_candidates(cs):
     return z[rows, order], res[rows, order], failed
 
 
-# the residuals that pin each kind: {f_a, f_b}, then det H2, then the
-# two minors H2[i] ^ grad det H2
+def _jet(T, free, x):
+    """The jet of the member f_0 + w_1 f_1 + ... of a linear family of
+    cubics at a point, for each row: T (n, K, 3, 3, 3) holds the third
+    partials of the K spanning cubics (K = 1 a fixed cubic, 2 a pencil, 3
+    a net), and x (n, K + 1) is (z_a, z_b, w_1, ..., w_{K-1}), the point
+    having z_a, z_b at its coordinates free (n, 2) = (a, b) and 1 at the
+    third.  Returns the member's gradient g (n, 3) and its Jacobian (n, 3,
+    K + 1) in x, and the (a, b) minor H (n, 2, 2) of its second partials
+    with their derivatives dH (n, 2, 2, K + 1) in x.
+    """
+    n = np.arange(len(x))[:, None]
+    a, b = free[:, :, None], free[:, None]
+    z = chart_points(x, free)
+    # the second partials of each f_k, linear in z, their (a, b) minors,
+    # and the third partials of each f_k on the free coordinates
+    Mk = np.einsum('nl,nklij->nkij', z, T)
+    Hk = Mk[n[:, :, None], :, a, b]
+    Tk = T[n[:, :, None, None], :, a[..., None], b[..., None],
+           free[:, None, None]]
+    # those of the member; by Euler's relation grad f = M z / 2 for a
+    # cubic, and the w_k column of its Jacobian is grad f_k
+    M, H, dz, gw = Mk[:, 0], Hk[..., 0], Tk[..., 0], []
+    for k in range(1, T.shape[1]):
+        w = x[:, k + 1, None, None]
+        M, H = M + w * Mk[:, k], H + w * Hk[..., k]
+        dz = dz + w[..., None] * Tk[..., k]
+        gw.append(0.5 * (Mk[:, k] @ z[:, :, None]))
+    g = 0.5 * np.einsum('nij,nj->ni', M, z)
+    Jg = np.concatenate([M[n, :, free].swapaxes(1, 2)] + gw, axis=2)
+    return g, Jg, H, np.concatenate([dz, Hk[..., 1:]], axis=-1)
+
+
+def _det_jet(H, dH):
+    """det H of the symmetric minors H (n, 2, 2) of _jet, and its gradient
+    (n, k) from their derivatives dH (n, 2, 2, k)."""
+    det = H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] ** 2
+    return det, (dH[:, 0, 0] * H[:, 1, 1, None] + H[:, 0, 0, None]
+                 * dH[:, 1, 1] - 2 * H[:, 0, 1, None] * dH[:, 0, 1])
+
+
+def _chart_coords(p):
+    """The free pairs (m, 2) of the rows of p (m, 3) in the chart of each
+    row's largest coordinate, and their coordinates (m, 2) there."""
+    rows, chart = np.arange(len(p))[:, None], np.argmax(np.abs(p), axis=1)
+    free = _FREE[chart]
+    return free, p[rows, free] / p[rows, chart[:, None]]
+
+
+# the residuals that pin each kind: {f_a, f_b}, then det H, then the
+# two minors H[i] ^ grad det H
 _PIN_ROWS = {'node': 2, 'cusp': 3, 'tacnode': 5}
 
 
@@ -243,10 +292,10 @@ def _pin(coeffs, p, kinds, iters=8):
     coeffs (m, 10), of the given kinds, by Gauss-Newton on a system that
     is regular there, in the chart of the row's largest coordinate, with
     (a, b) the other two: {f_a, f_b} at a node.  At a cusp that system is
-    singular, and deflation adds det H2, the (a, b) minor of the second
+    singular, and deflation adds det H, the (a, b) minor of the second
     partials (Leykin, Verschelde and Zhao, TCS 2006); at a tacnode that is
-    singular too, and a second deflation adds its 2x2 minors H2[i] ^ grad
-    det H2.  All rows are solved at once.  A row keeps its point for any
+    singular too, and a second deflation adds its 2x2 minors H[i] ^ grad
+    det H.  All rows are solved at once.  A row keeps its point for any
     other kind, or when its solve fails.
     """
     q = np.array(p, dtype=complex)
@@ -254,42 +303,31 @@ def _pin(coeffs, p, kinds, iters=8):
     live = np.flatnonzero(nres)
     if not len(live):
         return q
-    p, nres = q[live], nres[live]
-    n = np.arange(len(p))[:, None]
-    chart = np.argmax(np.abs(p), axis=1)
-    free = _FREE[chart]
-    T = third_partials(coeffs[live])
-    a, b = free[:, :, None, None], free[:, None, :, None]
-    t = T[n[:, :, None, None], a, b, free[:, None, None, :]]   # (m, 2, 2, 2)
-    # the constant second derivatives of det H2 in (z_a, z_b)
-    t00, t11, t01 = t[:, 0, 0], t[:, 1, 1], t[:, 0, 1]
-    hD = (t00[:, :, None] * t11[:, None] + t11[:, :, None] * t00[:, None]
-          - 2 * (t01[:, :, None] * t01[:, None]))
-    used = np.arange(5) < nres[:, None]
+    free, x0 = _chart_coords(q[live])
+    n = np.arange(len(live))[:, None]
+    T = third_partials(coeffs[live])[:, None]
+    used = np.arange(5) < nres[live, None]
+    # the derivatives t of H and the Hessian hD of det H are constant in x
+    t = _jet(T, free, x0)[3]
+    hD = np.stack([_det_jet(t[..., k], t)[1] for k in (0, 1)], axis=2)
 
     def system(x):
-        z = chart_points(x, free)
-        M = np.einsum('nl,nlij->nij', z, T)
-        g = 0.5 * np.einsum('nij,nj->ni', M, z)
-        H = M[n[:, :, None], free[:, :, None], free[:, None]]
-        dD = t00 * H[:, 1, 1, None] + H[:, 0, 0, None] * t11 \
-            - 2 * H[:, 0, 1, None] * t01
+        g, Jg, H, _ = _jet(T, free, x)
+        det, dD = _det_jet(H, t)
         m = H[:, :, 0] * dD[:, 1:] - H[:, :, 1] * dD[:, :1]
         dm = (t[:, :, 0] * dD[:, 1, None, None]
               + H[:, :, :1] * hD[:, None, 1]
               - t[:, :, 1] * dD[:, 0, None, None]
               - H[:, :, 1:] * hD[:, None, 0])
-        det2 = H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] ** 2
         r = np.where(used, np.concatenate(
-            [g[n, free], det2[:, None], m], axis=1), 0)
+            [g[n, free], det[:, None], m], axis=1), 0)
         J = np.where(used[:, :, None], np.concatenate(
-            [H, dD[:, None], dm], axis=1), 0)
+            [Jg[n, free], dD[:, None], dm], axis=1), 0)
         JH = J.conj().swapaxes(1, 2)
         # the normal equations make a square system for the shared core
         return (JH @ r[:, :, None])[:, :, 0], JH @ J
 
-    x0 = (p / p[n[:, 0], chart, None])[n, free]
-    x, _ = newton.solve(system, x0, iters)
+    x = newton.solve(system, x0, iters)[0]
     done = np.isfinite(x).all(axis=1)
     q[live[done]] = chart_points(x[done], free[done])
     return q
@@ -383,45 +421,23 @@ def _singular_sets(coeffs):
         else s for s in out]
 
 
-def local_expansion(coeffs, point, dir_u, dir_v):
-    """Exact coefficients e[k, i, j] of f_k(p_k + u*du_k + v*dv_k) in powers
-    u^i v^j, for the cubics coeffs (m, 10) and the rows (m, 3) of point,
-    dir_u and dir_v.
-
-    A cubic is its own Taylor expansion, and by Euler's relation every
-    coefficient is a value, a directional derivative or a second
-    derivative of f at p, du or dv; integer input stays exact.
-    """
-    c = np.asarray(coeffs, dtype=complex)
-    P = np.stack([point, dir_u, dir_v], axis=1).astype(complex)  # (m, 3, 3)
-    f = (monomial_values(P, 3) @ c[:, :, None])[:, :, 0]
-    # grad f at p, du and dv (rows) dotted with p, du and dv (columns)
-    gP = monomial_values(P, 2) @ gradient_coeffs(c).swapaxes(1, 2) \
-        @ P.swapaxes(1, 2)
-    out = np.zeros((len(P), 4, 4), dtype=complex)
-    out[:, 0, 0], out[:, 3, 0], out[:, 0, 3] = f.T
-    out[:, 1, 0], out[:, 0, 1] = gP[:, 0, 1], gP[:, 0, 2]
-    out[:, 2, 0], out[:, 0, 2] = gP[:, 1, 0], gP[:, 2, 0]
-    out[:, 2, 1], out[:, 1, 2] = gP[:, 1, 2], gP[:, 2, 1]
-    out[:, 1, 1] = np.einsum('nl,nlij,ni,nj->n', P[:, 0], third_partials(c),
-                             P[:, 1], P[:, 2])
-    return out
-
-
 def _local_type(coeffs, points):
     """Normal-form analysis of isolated singular points: the kind (m,) of
     each row of points (m, 3) on the cubic of the same row of coeffs."""
-    free = _FREE[np.argmax(np.abs(points), axis=1)]
-    du, dv = np.eye(3, dtype=complex)[free.T]
-    E = local_expansion(coeffs, points, du, dv)
+    free, x = _chart_coords(points)
+    g, _, H, t = _jet(third_partials(coeffs)[:, None], free, x)
     # the type is read before the point is pinned, when a cusp or tacnode
-    # can be off by ~1e-5; that error contaminates the expansion
-    # coefficients
-    tol = 1e-4 * np.maximum(1.0, np.abs(E).max(axis=(1, 2)))
-    quad = np.stack([2 * E[:, 2, 0], E[:, 1, 1], E[:, 1, 1],
-                     2 * E[:, 0, 2]], axis=1).reshape(-1, 2, 2)
-    det2 = quad[:, 0, 0] * quad[:, 1, 1] - quad[:, 0, 1] * quad[:, 1, 0]
-    qscale = np.abs(quad).max(axis=(1, 2))
+    # can be off by ~1e-5; that error contaminates the Taylor coefficients
+    # of f in (z_a, z_b): f (by Euler's relation), f_a, f_b, H_aa / 2,
+    # H_ab, H_bb / 2 and t_aaa / 6, t_aab / 2, t_abb / 2, t_bbb / 6
+    taylor = np.column_stack([
+        (g * chart_points(x, free)).sum(axis=1) / 3,
+        np.take_along_axis(g, free, axis=1),
+        H[:, [0, 0, 1], [0, 1, 1]] / [2, 1, 2],
+        t[:, [0, 0, 0, 1], [0, 0, 1, 1], [0, 1, 1, 1]] / [6, 2, 2, 6]])
+    tol = 1e-4 * np.maximum(1.0, np.abs(taylor).max(axis=1))
+    det2, _ = _det_jet(H, t)
+    qscale = np.abs(H).max(axis=(1, 2))
     # an honest node has |det2| comparable to qscale**2, while a rank-one
     # quadratic part contaminated by point error sits many orders lower,
     # so the rank cut can afford a generous margin.  A vanishing quadratic
@@ -431,15 +447,14 @@ def _local_type(coeffs, points):
         abs(det2) > 1e-5 * np.maximum(1.0, qscale) ** 2, 'node', 'rank one'))
     one = np.flatnonzero(kind == 'rank one')
     if len(one):
-        # rotate so the kernel of the quadratic part is the u-axis, then
-        # read off the lowest cubic terms
-        Q = quad[one]
-        _, vecs = np.linalg.eigh(Q.conj().swapaxes(1, 2) @ Q)
-        du2 = vecs[:, :1, 0] * du[one] + vecs[:, 1:, 0] * dv[one]
-        dv2 = vecs[:, :1, 1] * du[one] + vecs[:, 1:, 1] * dv[one]
-        E2 = local_expansion(coeffs[one], points[one], du2, dv2)
-        kind[one] = np.where(abs(E2[:, 3, 0]) > tol[one], 'cusp', np.where(
-            abs(E2[:, 2, 1]) > tol[one], 'tacnode', 'degenerate'))
+        # in the frame (u, v) of (z_a, z_b) where the kernel of the
+        # quadratic part is the u-axis, read off the lowest cubic terms
+        _, vecs = np.linalg.eigh(H[one].conj().swapaxes(1, 2) @ H[one])
+        u = vecs[:, :, 0]
+        uuu, uuv = np.einsum('nijk,ni,nj,nkl->ln', t[one], u, u,
+                             vecs) / [[6], [2]]
+        kind[one] = np.where(abs(uuu) > tol[one], 'cusp', np.where(
+            abs(uuv) > tol[one], 'tacnode', 'degenerate'))
     return kind
 
 
@@ -487,7 +502,7 @@ class FlexEquations:
     cubic the points are solved on."""
 
     def __init__(self, chart):
-        self.free = (chart[:, None] + np.array([1, 2])) % 3
+        self.free = _FREE[chart]
         self.rows = np.arange(len(chart))[:, None]
         self._pick = (self.rows[:, :, None], np.array([[0], [1]]),
                       self.free[:, None, :])
@@ -525,10 +540,9 @@ def _batch_newton_flex(fc, hc, z0, iters=18):
     # each row keeps its largest coordinate fixed
     x0, lift, system = FlexEquations(np.argmax(np.abs(z0), axis=1)).system(
         flex_gradients(fc, hc), z0)
-    x, _ = newton.solve(system, x0, iters)
+    x, _, r, J = newton.solve(system, x0, iters)
     z = lift(x)
     size = np.abs(z).max(axis=1)
-    r, J = system(x)
     # near a singular point the residual is small far from any zero; a
     # next Newton step below the radius that tells flexes apart marks a
     # regular zero

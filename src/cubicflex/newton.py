@@ -49,10 +49,12 @@ def solve(system, x0, max_iters, tol=0.0):
     or its step falls below STEP_FLOOR * (1 + |x|); it becomes NaN when
     its Jacobian is singular or not finite, or when it leaves the box
     |x| <= ESCAPE (|.| is the max-norm).  system is evaluated at most
-    max_iters times.
+    max_iters times, and once more at the final rows when max_iters runs
+    out, since the last step moved some of them.
 
-    Returns (x, converged): the final rows, and which rows stopped
-    before max_iters ran out.  NaN rows never count as converged.
+    Returns (x, converged, r, J): the final rows, which rows stopped
+    before max_iters ran out, and the residuals and Jacobians at x.  NaN
+    rows never count as converged.
     """
     x = np.array(x0, dtype=complex)
     live = np.isfinite(x).all(axis=1)
@@ -69,4 +71,6 @@ def solve(system, x0, max_iters, tol=0.0):
             x[size > ESCAPE] = np.nan
             # false for NaN rows, so a diverged row stops here as well
             live &= np.abs(step).max(axis=1) >= STEP_FLOOR * (1 + size)
-    return x, ~live & np.isfinite(x).all(axis=1)
+        else:
+            r, J = system(x)
+    return x, ~live & np.isfinite(x).all(axis=1), r, J

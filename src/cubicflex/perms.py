@@ -162,6 +162,9 @@ class PermGroup:
     def __eq__(self, other):
         return self.elements == other.elements
 
+    def __hash__(self):
+        return hash(self.elements)
+
     def orbits(self):
         """Orbits on 1..9, each sorted, ordered by smallest element."""
         seen = set()

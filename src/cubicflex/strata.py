@@ -26,10 +26,11 @@ out of its own chart's polynomial.
 
 net_cusp_members() finds the cuspidal members of a two-parameter net:
 one hidden-variable resultant eigensolve gives a candidate point near
-every cusp, and Newton on the four-equation cusp system polishes each.
+every cusp, and Newton on the cusp system {grad f = 0, det H = 0}
+polishes each once, in the chart of its largest coordinate.
 
-Every Newton solve here builds residuals and Jacobians only; the
-iteration itself is the shared batched core in newton.py.
+Every Newton solve here builds residuals and Jacobians from locus._jet
+only; the iteration itself is the shared batched core in newton.py.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ from .forms import (EXP2, MONOMIAL_INDEX, CubicForm, ProjPoint,
                     gradient_coeffs, greedy_distinct, monomial_values,
                     proj_distance, substitute_linear, third_partials)
 from .locus import (_FLEX_FRAME, _FREE, _NO_LINE_PAIR, SingularSet,
-                    _binary_quadratic_roots, _first_error,
-                    _singular_candidates, _singular_sets, local_expansion)
+                    _binary_quadratic_roots, _chart_coords, _det_jet,
+                    _first_error, _jet, _singular_candidates, _singular_sets)
 from .roots import UniPoly, all_roots
 
 DISCRIMINANT_SAMPLES = 25
@@ -120,33 +121,35 @@ _LINE_ROW, _LINE_COL, _LINE_VAR = np.array(
 
 
 def _line_multiplication_matrix(ell):
-    """The 10x6 matrix of q -> ell*q from quadrics to cubics."""
-    L = np.zeros((10, 6), dtype=complex)
-    L[_LINE_ROW, _LINE_COL] += ell[_LINE_VAR]
+    """The 10x6 matrix of q -> ell*q from quadrics to cubics, or a stack of
+    them (..., 10, 6) for a stack of lines (..., 3)."""
+    L = np.zeros(ell.shape[:-1] + (10, 6), dtype=complex)
+    L[..., _LINE_ROW, _LINE_COL] += ell[..., _LINE_VAR]
     return L
 
 
-def line_division_residual(coeffs, ell):
-    """Relative residual of dividing the cubic by the linear form ell.
-
-    Close to zero exactly when the line ell = 0 is a component.
+def line_division_residuals(coeffs, ells):
+    """Relative residuals (m, k) of dividing each cubic of coeffs (m, 10)
+    by each linear form of the same row of ells (m, k, 3), by one stacked
+    QR.  Close to zero exactly when the line ell = 0 is a component.
     """
-    c = np.asarray(coeffs, dtype=complex)
-    ell = np.asarray(ell, dtype=complex)
-    L = _line_multiplication_matrix(ell / np.abs(ell).max())
-    q, res, *_ = np.linalg.lstsq(L, c, rcond=None)
-    return float(np.linalg.norm(c - L @ q) / np.linalg.norm(c))
+    c = np.asarray(coeffs, dtype=complex)[:, None, :, None]
+    Q = np.linalg.qr(_line_multiplication_matrix(
+        ells / np.abs(ells).max(axis=-1, keepdims=True)))[0]
+    rest = c - Q @ (Q.conj().swapaxes(-1, -2) @ c)
+    return (np.linalg.norm(rest[..., 0], axis=-1)
+            / np.linalg.norm(c[..., 0], axis=-1))
 
 
 def _branch_tangents(coeffs, nodes):
     """The two tangent lines (m, 2, 3) (dual coefficient vectors) at the
     nodes (m, 3) of the cubics coeffs (m, 10)."""
-    free = _FREE[np.argmax(np.abs(nodes), axis=1)]
+    free, x = _chart_coords(nodes)
+    H = _jet(third_partials(coeffs)[:, None], free, x)[2]
+    # the quadratic part H_aa u^2 + 2 H_ab uv + H_bb v^2 factors into the
+    # two branch directions
+    uv = _binary_quadratic_roots(H[:, 0, 0], 2 * H[:, 0, 1], H[:, 1, 1])
     du, dv = np.eye(3, dtype=complex)[free.T]
-    E = local_expansion(coeffs, nodes, du, dv)
-    # quadratic part E20 u^2 + E11 uv + E02 v^2 factors into the two
-    # branch directions
-    uv = _binary_quadratic_roots(E[:, 2, 0], E[:, 1, 1], E[:, 0, 2])
     return np.cross(nodes[:, None], uv[..., :1] * du[:, None]
                     + uv[..., 1:] * dv[:, None])
 
@@ -175,9 +178,10 @@ def classify(f):
 
 def classify_all(forms):
     """classify() of each cubic of a sequence: the singular points of all
-    of them come from one locus.singular_sets pass, and the branch
-    tangents at every lone node from one stacked expansion.  Raises the
-    error that classify() raises on the first cubic to fail."""
+    of them come from one locus.singular_sets pass, the branch tangents
+    at every lone node from one stacked jet, and their division residuals
+    from one stacked QR.  Raises the error that classify() raises on the
+    first cubic to fail."""
     return _first_error(_classified(forms))
 
 
@@ -188,16 +192,16 @@ def _classified(forms):
     sets = _singular_sets([fn.coeffs for fn in fns])
     nodal = [k for k, s in enumerate(sets) if isinstance(s, SingularSet)
              and s.local_types() == ('node',)]
-    tangents = dict(zip(nodal, _branch_tangents(
-        np.array([fns[k].coeffs for k in nodal]),
-        np.array([sets[k].points[0].point.coords for k in nodal])))) \
-        if nodal else {}
+    cs = np.array([fns[k].coeffs for k in nodal]).reshape(-1, 10)
+    nodes = np.array([sets[k].points[0].point.coords for k in nodal])
+    residuals = dict(zip(nodal, line_division_residuals(
+        cs, _branch_tangents(cs, nodes.reshape(-1, 3))).tolist()))
     out = []
     for k, (fn, sing) in enumerate(zip(fns, sets)):
         try:
             # a failed singular-point search re-raises its error here
             sing_set = _first_error([sing])[0]
-            label, note = _label(fn, sing_set, tangents.get(k))
+            label, note = _label(fn, sing_set, residuals.get(k))
             out.append((label, _certificate(label, sing, note)))
         except NumericalError as exc:
             out.append(exc)
@@ -212,9 +216,10 @@ _BY_TYPES = {(): StratumLabel.SMOOTH, ('node',): StratumLabel.B1,
              ('triple',): StratumLabel.B4}
 
 
-def _label(fn, sing, tangents):
+def _label(fn, sing, residuals):
     """The stratum of a normalized cubic with singular set sing, and the
-    certificate's note; tangents are the branch tangents at a lone node."""
+    certificate's note; residuals are those of dividing it by the two
+    branch tangents at a lone node."""
     if sing.singular_line is not None:
         perfect = _is_perfect_cube(fn.coeffs, sing.singular_line)
         return (StratumLabel.B7 if perfect else StratumLabel.B5), ""
@@ -225,7 +230,6 @@ def _label(fn, sing, tangents):
     if label is not StratumLabel.B1:
         return label, ""
     # irreducible unless a branch tangent at the node is a component
-    residuals = [line_division_residual(fn.coeffs, ell) for ell in tangents]
     if min(residuals) < 1e-8:
         raise NumericalError(
             "unclassifiable: one node found but a branch tangent "
@@ -385,37 +389,28 @@ def _crossing_newton(pencil, charts, roots, iters=80):
     c0, c1 = np.where(first, f0, f1), np.where(first, f1, f0)
     z0, _, failed = _singular_candidates(c0 + roots[:, None] * c1)
     free = _FREE[np.argmax(np.abs(z0[:, 0]), axis=1)]
-    n = np.arange(len(roots))[:, None]
-    T0, T1 = third_partials(c0), third_partials(c1)
-    best = np.column_stack([z0[n, 0, free], roots])
+    T = np.stack([third_partials(c0), third_partials(c1)], axis=1)
+    best = np.column_stack([np.take_along_axis(z0[:, 0], free, axis=1),
+                            roots])
     least = np.full(len(roots), np.inf)
 
     def system(x):
-        z, u = chart_points(x, free), x[:, 2]
-        M1 = np.einsum('nl,nlij->nij', z, T1)
-        M = np.einsum('nl,nlij->nij', z, T0) + u[:, None, None] * M1
-        # gradients by Euler's relation: grad f = M z / 2 for a cubic
-        g1 = 0.5 * (M1 @ z[:, :, None])
-        J = np.concatenate([np.take_along_axis(M, free[:, None], axis=2),
-                            g1], axis=2)
-        r = 0.5 * (M @ z[:, :, None])[:, :, 0]
+        g, J, _, _ = _jet(T, free, x)
         # at a crossing of multiplicity above one the Jacobian is singular:
         # the iterates converge linearly, then wander over residuals from
         # 1e-12 to 1e-9, so each row keeps its iterate of least residual
-        size = np.abs(r).max(axis=1)
+        size = np.abs(g).max(axis=1)
         better = size < least
         least[better], best[better] = size[better], x[better]
-        return r, J
+        return g, J
 
-    system(newton.solve(system, best, iters)[0])
+    newton.solve(system, best, iters)
     z, u = chart_points(best, free), best[:, 2]
-    grad = monomial_values(z, 2)[:, None] @ gradient_coeffs(
-        c0 + u[:, None] * c1).swapaxes(1, 2)
     # a fitted root is good to about 1e-3 even where a double root splits;
     # on either chart the chordal distance of the parameters is
     # |u - r| / sqrt((1 + |u|^2)(1 + |r|^2))
-    good = (np.abs(grad[:, 0]).max(axis=1) < 1e-9 * np.maximum(
-        np.abs(z).max(axis=1) ** 2, 1) * (1 + abs(u))) & (
+    good = (least < 1e-9 * np.maximum(np.abs(z).max(axis=1) ** 2, 1)
+            * (1 + abs(u))) & (
         abs(u - roots) <= 0.02 * np.sqrt((1 + abs(u) ** 2)
                                          * (1 + abs(roots) ** 2)))
 
@@ -553,41 +548,6 @@ class NetCusp(NamedTuple):
     residuals: dict
 
 
-def _cusp_jet(cs, a, b):
-    """A function of the rows x = (z_a, z_b, alpha, beta), for the member
-    cs[0] + alpha cs[1] + beta cs[2] at z with z_c = 1: the residuals
-    {f, f_a, f_b, det H2} (n, 4), det H2 the (a, b) minor of the second
-    partials, and their Jacobian in x by the constant third partials."""
-    thirds = np.moveaxis(third_partials(cs), 0, -1)
-
-    def jet(x):
-        z = chart_points(x, [a, b])
-        w = np.concatenate([np.ones((len(x), 1)), x[:, 2:]], axis=1)
-        Mk = np.einsum('lijk,nl->nijk', thirds, z)
-        # by Euler's relation grad f = M z / 2 and f = z . grad f / 3
-        gk = 0.5 * np.einsum('nijk,nj->nik', Mk, z)
-        fk = np.einsum('nik,ni->nk', gk, z) / 3
-        g = np.einsum('nik,nk->ni', gk, w)
-        M = np.einsum('nijk,nk->nij', Mk, w)
-        T = np.einsum('ijlk,nk->nijl', thirds, w)
-
-        def ddet2(dM):
-            return (dM[:, a, a] * M[:, b, b] + M[:, a, a] * dM[:, b, b]
-                    - 2 * M[:, a, b] * dM[:, a, b])
-
-        det2 = M[:, a, a] * M[:, b, b] - M[:, a, b] ** 2
-        r = np.stack([(fk * w).sum(axis=1), g[:, a], g[:, b], det2], axis=1)
-        J = np.stack([
-            np.column_stack([g[:, a], g[:, b], fk[:, 1:]]),
-            np.column_stack([M[:, a, a], M[:, a, b], gk[:, a, 1:]]),
-            np.column_stack([M[:, b, a], M[:, b, b], gk[:, b, 1:]]),
-            np.column_stack([ddet2(T[..., a]), ddet2(T[..., b]),
-                             ddet2(Mk[..., 1]), ddet2(Mk[..., 2])])], axis=1)
-        return r, J
-
-    return jet
-
-
 _Y0 = 0.4173 - 0.2861j      # y = _Y0 + 1/t, fixed and generic
 
 
@@ -634,29 +594,36 @@ def _net_cusp_candidates(cs):
 
 def net_cusp_members(net):
     """All cuspidal members f0 + alpha f1 + beta f2 of a general net:
-    Newton on the four-equation cusp system in each point chart from
-    every candidate of _net_cusp_candidates, the distinct members reached
-    classified in one pass, and the B22 ones kept.  A general net has 24,
-    the degree of the cuspidal locus; another count raises CrossingError."""
+    Newton on the cusp system {grad f = 0, det H = 0} in (z_a, z_b,
+    alpha, beta), with det H the (a, b) minor of the second partials, from
+    every candidate of _net_cusp_candidates in the chart of its largest
+    coordinate, the distinct members reached classified in one pass, and
+    the B22 ones kept.  A general net has 24, the degree of the cuspidal
+    locus; another count raises CrossingError."""
     cs = np.array([net.f0.coeffs, net.f1.coeffs, net.f2.coeffs])
-    p = _net_cusp_candidates(cs)
-    hits, res = [], []
-    for j, free in enumerate(_FREE):
-        jet = _cusp_jet(cs, *free)
-        x = np.pad((p / p[:, j, None])[:, free], ((0, 0), (0, 2)))
-        # the two gradient equations are linear in (alpha, beta)
-        r, J = jet(x)
-        x[:, 2:] = newton.linear_solve(J[:, 1:3, 2:], -r[:, 1:3])
-        x, _ = newton.solve(jet, x, 60)
-        # each residual is of degree at most 4 in x
-        with np.errstate(invalid='ignore', over='ignore'):
-            res.append((np.abs(jet(x)[0]) / (1 + np.abs(x).max(
-                axis=1, keepdims=True)) ** 4).max(axis=1))
-        hits.append(np.column_stack([chart_points(x, free), x[:, 2:]]))
+    free, z = _chart_coords(_net_cusp_candidates(cs))
+    n = np.arange(len(z))[:, None]
+    T = np.broadcast_to(third_partials(cs), (len(z), 3, 3, 3, 3))
+
+    def system(x):
+        g, Jg, H, dH = _jet(T, free, x)
+        det, ddet = _det_jet(H, dH)
+        return (np.column_stack([g, det]),
+                np.concatenate([Jg, ddet[:, None]], axis=1))
+
+    x = np.pad(z, ((0, 0), (0, 2)))
+    # the gradient equations f_a = f_b = 0 are linear in (alpha, beta)
+    r, J = system(x)
+    x[:, 2:] = newton.linear_solve(J[n, free, 2:], -r[n, free])
+    x, _, r, _ = newton.solve(system, x, 60)
+    # each residual is of degree at most 4 in x
+    with np.errstate(invalid='ignore', over='ignore'):
+        res = (np.abs(r) / (1 + np.abs(x).max(
+            axis=1, keepdims=True)) ** 4).max(axis=1)
+    hits = np.column_stack([chart_points(x, free), x[:, 2:]])
     # least residual first, so each member keeps its most accurate hit;
     # NaN rows sort last and go
-    res = np.concatenate(res)
-    hits = np.concatenate(hits)[np.argsort(res)[:np.sum(res < 1e-9)]]
+    hits = hits[np.argsort(res)[:np.sum(res < 1e-9)]]
     kept = greedy_distinct(hits[:, 3:], 1e-6,
                            lambda q, Q: np.abs(Q - q).max(axis=1))
     members = [net.member((1, al, be)) for al, be in hits[kept, 3:]]

@@ -324,7 +324,6 @@ class _Tracker:
         """Newton iteration of all points on {F = 0, H = 0} at the path
         point p; returns corrected coordinates or None."""
         x0, lift, system = self.eqs.system(p.grads, Zp)
-        last = {}
 
         def scaled(x):
             # residuals relative to the coefficient size and |z|^3; the
@@ -332,19 +331,13 @@ class _Tracker:
             zs = np.maximum(np.abs(x).max(axis=1), 1.0) ** 3
             s = p.scale * zs[:, None]
             r, J = system(x)
-            last["x"], last["r"] = x.copy(), r / s
-            return last["r"], J / s[:, :, None]
+            return r / s, J / s[:, :, None]
 
-        x, converged = newton.solve(scaled, x0, NEWTON_MAX_ITERS,
-                                    tol=NEWTON_TOL)
-        if not converged.all():
-            return None, None
-        # when every row stopped on the tolerance, solve's last residual
-        # was taken at x; a row stopped by a vanishing step moved after it
-        # and still has to meet the tolerance
-        r = last["r"] if np.array_equal(last["x"], x) else scaled(x)[0]
+        x, converged, r, _ = newton.solve(scaled, x0, NEWTON_MAX_ITERS,
+                                          tol=NEWTON_TOL)
+        # a row stopped by a vanishing step still has to meet the tolerance
         res = np.abs(r).max()
-        if res > NEWTON_TOL:
+        if not converged.all() or res > NEWTON_TOL:
             return None, None
         return lift(x), float(res)
 

@@ -307,6 +307,25 @@ def test_pencil_and_net_members():
     assert net.member((1, 0.2, 0.3)) is not None
 
 
+def test_equality_and_hash_by_value():
+    f = fermat_cubic()
+    assert f == fermat_cubic() and hash(f) == hash(fermat_cubic())
+    assert f != triangle_cubic() and f != f * 2.0 and f != "fermat"
+    # -0.0 equals 0.0, so the two must hash alike
+    signed = CubicForm(np.where(f.coeffs == 0, -0.0, f.coeffs))
+    assert signed == f and hash(signed) == hash(f)
+    p = ProjPoint([2.0, 4.0, -0.0])
+    assert p == ProjPoint([1, 2, 0]) and hash(p) == hash(ProjPoint([1, 2, 0]))
+    assert p != ProjPoint([1, 2, 1e-9])
+    pencil = Pencil(fermat_cubic(), triangle_cubic())
+    assert pencil == Pencil(fermat_cubic(), triangle_cubic())
+    assert pencil != Pencil(triangle_cubic(), fermat_cubic())
+    net = Net(f, triangle_cubic(), cusp_family(0))
+    assert net == Net(f, triangle_cubic(), cusp_family(0))
+    assert len({pencil, Pencil(fermat_cubic(), triangle_cubic()), net,
+                Net(f, triangle_cubic(), cusp_family(0))}) == 2
+
+
 def test_json_round_trip_and_schema_errors():
     f = node_family(0.1 + 0.2j, -0.3, 0.7j)
     d = f.to_json_dict()

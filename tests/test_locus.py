@@ -13,9 +13,9 @@ from cubicflex import locus
 from cubicflex.errors import (CommonComponentError, MatchingError,
                               NumericalError)
 from cubicflex.forms import (EXP3, MONOMIALS, THIRD, CubicForm, ProjPoint,
-                             cusp_family, fermat_cubic, hesse_pencil,
-                             node_family, proj_distance, third_partials,
-                             triangle_cubic)
+                             cusp_family, eval_gradient, fermat_cubic,
+                             hesse_pencil, node_family, proj_distance,
+                             third_partials, triangle_cubic)
 from cubicflex.locus import (InflectionSet, hesse_base_points,
                              inflection_points, label_against,
                              nearest_labels, singular_points, singular_sets)
@@ -540,3 +540,51 @@ class TestSingularSets:
         with pytest.raises(NumericalError) as stacked:
             singular_sets([f.coeffs for f in stack])
         assert str(stacked.value) == str(one.value)
+
+
+class TestJet:
+    """locus._jet against the member's own gradient and second partials,
+    and its derivatives against central differences, on a fixed cubic
+    (K = 1), a pencil (K = 2) and a net (K = 3) of random cubics."""
+
+    @staticmethod
+    def draw(K, n=6):
+        rng = np.random.default_rng(40 + K)
+        cs = rng.standard_normal((n, K, 10)) + 1j * rng.standard_normal(
+            (n, K, 10))
+        free = locus._FREE[rng.integers(0, 3, n)]
+        x = rng.standard_normal((n, K + 1)) + 1j * rng.standard_normal(
+            (n, K + 1))
+        return cs, free, x
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_values_are_the_members(self, K):
+        cs, free, x = self.draw(K)
+        g, _, H, _ = locus._jet(third_partials(cs), free, x)
+        for k in range(len(x)):
+            member = cs[k, 0] + x[k, 2:] @ cs[k, 1:]
+            z = np.ones(3, dtype=complex)
+            z[free[k]] = x[k, :2]
+            assert np.allclose(g[k], eval_gradient(member, z), atol=1e-12)
+            second = np.einsum('uvwm,m,w->uv', THIRD, member, z)
+            assert np.allclose(H[k], second[np.ix_(free[k], free[k])],
+                               atol=1e-12)
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_derivatives_match_central_differences(self, K):
+        cs, free, x = self.draw(K)
+        T = third_partials(cs)
+        _, Jg, H, dH = locus._jet(T, free, x)
+        _, ddet = locus._det_jet(H, dH)
+        h = 1e-6
+        for j in range(K + 1):
+            e = np.zeros(K + 1)
+            e[j] = h
+            gp, _, Hp, _ = locus._jet(T, free, x + e)
+            gm, _, Hm, _ = locus._jet(T, free, x - e)
+            dp, dm = locus._det_jet(Hp, dH)[0], locus._det_jet(Hm, dH)[0]
+            for got, want in (((gp - gm) / (2 * h), Jg[:, :, j]),
+                              ((Hp - Hm) / (2 * h), dH[..., j]),
+                              ((dp - dm) / (2 * h), ddet[:, j])):
+                assert np.abs(got - want).max() < 1e-7 * (
+                    1 + np.abs(want).max())

@@ -85,6 +85,13 @@ def test_generator_relations():
     assert G2 * G3 == G4.inverse()
 
 
+def test_equal_groups_hash_alike():
+    assert PermGroup((G1,)) == PermGroup((G1, G1))
+    assert hash(PermGroup((G1,))) == hash(PermGroup((G1, G1)))
+    assert len({PermGroup((G1,)), PermGroup((G1, G1)),
+                PermGroup((G1 ** 2,)), PermGroup((G2,))}) == 2
+
+
 def test_local_cusp_group_orbits():
     H1 = local_cusp_group()
     assert H1.orbits() == [(1,), (2, 3, 4, 5, 6, 7, 8, 9)]

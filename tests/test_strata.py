@@ -24,6 +24,7 @@ from cubicflex import (Certificate, CrossingError, CubicForm, Net,
                        hesse_pencil, inflection_points, net_cusp_members,
                        node_family, pencil_crossings, pencil_discriminant_fit,
                        proj_distance, triangle_cubic)
+from cubicflex import newton, strata
 from cubicflex.errors import RootFindingError
 from cubicflex.forms import (EXP2, MONOMIAL_INDEX, eval_gradient,
                              gradient_coeffs, greedy_distinct,
@@ -32,7 +33,7 @@ from cubicflex.locus import _FLEX_FRAME
 from cubicflex.roots import UniPoly, all_roots
 from cubicflex.strata import (MILNOR, _crossing_newton, _framed_discriminant,
                               _line_multiplication_matrix, _macaulay_dets,
-                              classify_all)
+                              classify_all, line_division_residuals)
 from cubicflex.track import bypass_loop
 from cubicflex.verify import CLASSIFY_CORPUS
 
@@ -153,6 +154,27 @@ class TestClassify:
             ell = np.asarray(ell, dtype=complex)
             assert _line_multiplication_matrix(ell).tobytes() == \
                 loop(ell).tobytes()
+
+    def test_stacked_line_division_residuals(self):
+        rng = np.random.default_rng(5)
+        ells = rng.standard_normal((4, 2, 3)) + 1j * rng.standard_normal(
+            (4, 2, 3))
+        stack = _line_multiplication_matrix(ells)
+        for L, ell in zip(stack.reshape(-1, 10, 6), ells.reshape(-1, 3)):
+            assert L.tobytes() == _line_multiplication_matrix(ell).tobytes()
+        # a cubic with a line component divides by it, and the residual of
+        # any other line is the least-squares one
+        cs = rng.standard_normal((4, 10)) + 1j * rng.standard_normal((4, 10))
+        q = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        cs[0] = _line_multiplication_matrix(ells[0, 0]) @ q
+        got = line_division_residuals(cs, ells)
+        assert got[0, 0] < 1e-15
+        for c, row, res in zip(cs, ells, got):
+            for ell, r in zip(row, res):
+                L = _line_multiplication_matrix(ell / np.abs(ell).max())
+                want = np.linalg.norm(c - L @ np.linalg.lstsq(
+                    L, c, rcond=None)[0]) / np.linalg.norm(c)
+                assert abs(r - want) <= 1e-13 * want + 1e-15
 
 
 class TestDiscriminant:
@@ -599,6 +621,26 @@ class TestNetCusps:
             assert label is StratumLabel.B22
             assert proj_distance(cert.singular.points[0].point.coords,
                                  nc.point.coords) < 1e-6
+
+    def test_each_candidate_is_solved_once(self, net3, monkeypatch):
+        solve, candidates = newton.solve, strata._net_cusp_candidates
+        rows, starts = [], []
+
+        def recorded_solve(system, x0, *args, **kwargs):
+            if np.shape(x0)[1] == 4:      # the cusp system, not a pin
+                rows.append(len(x0))
+            return solve(system, x0, *args, **kwargs)
+
+        def recorded_candidates(cs):
+            starts.append(candidates(cs))
+            return starts[-1]
+
+        monkeypatch.setattr(newton, "solve", recorded_solve)
+        monkeypatch.setattr(strata, "_net_cusp_candidates",
+                            recorded_candidates)
+        assert len(net_cusp_members(net3)) == 24
+        # one solve, one row per candidate, in its own chart
+        assert rows == [len(starts[0])]
 
     def test_non_general_net_is_refused(self):
         # this net holds the cuspidal f1 (at alpha = infinity) and the

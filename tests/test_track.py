@@ -41,7 +41,8 @@ import pytest
 from cubicflex.errors import CrossingError, MatchingError, SchemaError, TrackingError
 from cubicflex.forms import (MONOMIALS, CubicForm, Pencil, cusp_family,
                              fermat_cubic, node_family, triangle_cubic)
-from cubicflex.locus import hesse_base_points, inflection_points, label_against
+from cubicflex.locus import (_FREE, hesse_base_points, inflection_points,
+                             label_against)
 from cubicflex.perms import (G1, G2, G3, G4, Perm, PermGroup,
                              conjugate_in_s9, hesse_group, local_cusp_group)
 from cubicflex import track
@@ -162,6 +163,16 @@ class TestLoop:
                "segments": [{"kind": "spiral"}]}
         with pytest.raises(SchemaError, match="spiral"):
             Loop.from_json_dict(doc)
+
+    def test_equality_and_hash_by_value(self):
+        f, g = fermat_cubic(), triangle_cubic()
+        line, arc = Line(f, g), Arc(f, g, 0.1)
+        assert line == Line(fermat_cubic(), triangle_cubic())
+        assert line != Line(g, f) and arc != Arc(f, g, 0.1, 0.0, 0.5)
+        loop, again = circle_loop(f, g, 0.1), circle_loop(f, g, 0.1)
+        assert loop == again and hash(loop) == hash(again)
+        assert len({line, Line(f, g), arc, Arc(f, g, 0.1), loop,
+                    again}) == 3
 
     def test_reversed_swaps_orientation(self, coordinate_loops):
         rev = coordinate_loops[0].reversed()
@@ -324,8 +335,7 @@ class TestTrackLoopEdges:
             assert np.array_equal(tracker.chart,
                                   np.argmax(np.abs(Z), axis=1))
             assert np.abs(Z[rows, tracker.chart] - 1.0).max() < 1e-15
-            assert np.array_equal(tracker.eqs.free[:, 0],
-                                  (tracker.chart + 1) % 3)
+            assert np.array_equal(tracker.eqs.free, _FREE[tracker.chart])
             charts.append(tracker.chart.copy())
 
         monkeypatch.setattr(track._Tracker, "accept", checked_accept)
