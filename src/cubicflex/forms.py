@@ -2,8 +2,9 @@
 
 A cubic form is stored as a vector of 10 complex coefficients over the
 monomial basis z1^i z2^j z3^(3-i-j), with the exponent pairs (i, j) in
-lexicographic order.  Both polynomial constructions here are integer
-tables applied to the coefficients, so integer inputs produce integer
+lexicographic order.  Every exact table here is an integer contraction
+of the one-hot product tables TRIP (z_u z_v z_w in the cubic basis) and
+PAIR (z_u z_v in the quadric basis), so integer inputs produce integer
 outputs exactly.  The Hessian determinant is a sparse sum of 102 weighted
 triple products of coefficients, and the linear substitution f(M z) is one
 tensor contraction of the coefficients with three copies of M.
@@ -11,9 +12,8 @@ tensor contraction of the coefficients with three copies of M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache
-from itertools import permutations, product
 
 import numpy as np
 
@@ -26,54 +26,30 @@ MONOMIAL_INDEX = {m: n for n, m in enumerate(MONOMIALS)}
 
 # exponent pairs for the degree-2 basis z1^i z2^j z3^(2-i-j)
 MONOMIALS2 = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
-MONOMIAL2_INDEX = {m: n for n, m in enumerate(MONOMIALS2)}
 
 EXP3 = np.array([(i, j, 3 - i - j) for i, j in MONOMIALS])          # (10, 3)
 EXP2 = np.array([(i, j, 2 - i - j) for i, j in MONOMIALS2])         # (6, 3)
 
 
-def _build_derivative_matrices():
-    """D[v] maps cubic coefficients to the coefficients of d/dz_v."""
-    D = np.zeros((3, 6, 10))
-    for n, (i, j) in enumerate(MONOMIALS):
-        k = 3 - i - j
-        e = (i, j, k)
-        for v in range(3):
-            if e[v] == 0:
-                continue
-            low = list(e)
-            low[v] -= 1
-            D[v, MONOMIAL2_INDEX[(low[0], low[1])], n] = e[v]
-    return D
+def _products(basis, degree):
+    """The one-hot table P[u_1, ..., u_d, n] = 1 where the product
+    z_u1 ... z_ud is monomial n of the degree-d basis."""
+    words = np.indices((3,) * degree).reshape(degree, -1)
+    exps = (words[..., None] == np.arange(3)).sum(axis=0)
+    target = np.array([(i, j, degree - i - j) for i, j in basis])
+    return (exps[:, None] == target).all(axis=-1).astype(float).reshape(
+        (3,) * degree + (len(basis),))
 
-DERIV = _build_derivative_matrices()
+TRIP = _products(MONOMIALS, 3)      # (3, 3, 3, 10)
+PAIR = _products(MONOMIALS2, 2)     # (3, 3, 6)
 
+# THIRD[u, v, w] maps cubic coefficients to d3f / dz_u dz_v dz_w: the third
+# partials of z^e are e1! e2! e3! on each ordering of its word
+THIRD = TRIP * np.array([1, 1, 2, 6])[EXP3].prod(axis=1)
 
-def _build_third_partials():
-    """THIRD[u, v, w] maps cubic coefficients to d3f / dz_u dz_v dz_w."""
-    T = np.zeros((3, 3, 3, 10))
-    for n, e in enumerate(EXP3):
-        for u, v, w in product(range(3), repeat=3):
-            low = list(e)
-            c = 1
-            for x in (u, v, w):
-                c *= low[x]
-                low[x] -= 1
-            T[u, v, w, n] = c
-    return T
-
-THIRD = _build_third_partials()
-
-
-def _build_triple_products():
-    """TRIP[p, q, r, m] = 1 where z_p z_q z_r is cubic basis monomial m."""
-    trip = np.zeros((3, 3, 3, 10))
-    for p, q, r in product(range(3), repeat=3):
-        e = np.bincount([p, q, r], minlength=3)
-        trip[p, q, r, MONOMIAL_INDEX[(e[0], e[1])]] = 1.0
-    return trip
-
-TRIP = _build_triple_products()
+# DERIV[v] maps cubic coefficients to those of df/dz_v, the quadric
+# (1/2) z^T THIRD[v] z in the MONOMIALS2 basis
+DERIV = 0.5 * np.einsum('vuwn,uwm->vmn', THIRD, PAIR)
 
 
 def _words(basis, degree):
@@ -88,31 +64,12 @@ WORD = _words(MONOMIALS, 3)
 FACTORS = {d: tuple(_words(basis, d).T.copy())
            for d, basis in ((2, MONOMIALS2), (3, MONOMIALS))}
 
-
-def _build_hessian_tensor():
-    """T[m,a,b,c] with hessian(f) = sum_{a,b,c} T[:,a,b,c] f_a f_b f_c.
-
-    The Hessian matrix of a cubic has entries linear in z and linear in the
-    coefficient vector; its determinant is therefore a cubic form whose
-    coefficients are exact integer contractions of three copies of f.
-    """
-    # S[m, u, v, w]: coefficient of z_w in d^2(monomial m)/dz_u dz_v
-    S = THIRD.transpose(3, 0, 1, 2)
-    T = np.zeros((10, 10, 10, 10))
-    for sigma in permutations(range(3)):
-        sgn = 1.0
-        for x in range(3):
-            for y in range(x + 1, 3):
-                if sigma[x] > sigma[y]:
-                    sgn = -sgn
-        T += sgn * np.einsum('aP,bQ,cR,PQRm->mabc',
-                             S[:, 0, sigma[0], :],
-                             S[:, 1, sigma[1], :],
-                             S[:, 2, sigma[2], :],
-                             TRIP)
-    return T
-
-HESSIAN_TENSOR = _build_hessian_tensor()
+# hessian(f) = sum_abc HESSIAN_TENSOR[:, a, b, c] f_a f_b f_c: the
+# determinant eps_ijk H_0i H_1j H_2k of the second partials
+# H_uv = f_a THIRD[u, v, P, a] z_P, with TRIP collecting the z_P z_Q z_R
+HESSIAN_TENSOR = np.einsum('ijk,iPa,jQb,kRc,PQRm->mabc',
+                           np.cross(np.eye(3)[:, None], np.eye(3)),  # eps
+                           THIRD[0], THIRD[1], THIRD[2], TRIP, optimize=True)
 
 # The 102 nonzero entries of HESSIAN_TENSOR as a sparse sum: column t of
 # HESSIAN_TERMS is (m, a, b, c), and term t adds T[m,a,b,c] f_a f_b f_c to
@@ -229,6 +186,32 @@ def substitute_linear(coeffs, M):
 # ---------------------------------------------------------------------------
 # public types
 
+def by_value(cls):
+    """Class decorator for a dataclass with ndarray fields.  == compares
+    the fields, each array by np.array_equal (None equals only None), and
+    a frozen class hashes them with each array as tuple(arr.tolist()),
+    which hashes -0.0 like the 0.0 it equals."""
+    def values(obj):
+        return [getattr(obj, f.name) for f in fields(cls)]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray)
+                   or isinstance(b, np.ndarray) else a == b
+                   for a, b in zip(values(self), values(other)))
+
+    def __hash__(self):
+        return hash(tuple(tuple(v.tolist()) if isinstance(v, np.ndarray)
+                          else v for v in values(self)))
+
+    cls.__eq__ = __eq__
+    if cls.__hash__ is not None:
+        cls.__hash__ = __hash__
+    return cls
+
+
+@by_value
 @dataclass(frozen=True)
 class CubicForm:
     """A plane cubic form; wraps the 10-vector of monomial coefficients."""
@@ -243,14 +226,6 @@ class CubicForm:
             raise DegenerateInputError("all coefficients zero")
         c.flags.writeable = False
         object.__setattr__(self, 'coeffs', c)
-
-    def __eq__(self, other):
-        return isinstance(other, CubicForm) and np.array_equal(self.coeffs,
-                                                               other.coeffs)
-
-    def __hash__(self):
-        # tolist hashes -0.0 as 0.0, which compares equal to it
-        return hash(tuple(self.coeffs.tolist()))
 
     @classmethod
     def from_monomials(cls, entries):
@@ -338,6 +313,7 @@ class CubicForm:
         return "CubicForm(" + " + ".join(terms) + ")"
 
 
+@by_value
 @dataclass(frozen=True)
 class ProjPoint:
     """A point of the projective plane, stored with max-modulus coord = 1.
@@ -358,13 +334,6 @@ class ProjPoint:
         v = v / v[int(np.argmax(m >= (1 - 1e-9) * m.max()))]
         v.flags.writeable = False
         object.__setattr__(self, 'coords', v)
-
-    def __eq__(self, other):
-        return isinstance(other, ProjPoint) and np.array_equal(self.coords,
-                                                               other.coords)
-
-    def __hash__(self):
-        return hash(tuple(self.coords.tolist()))
 
     def __repr__(self):
         return ("ProjPoint(" +

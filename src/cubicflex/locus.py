@@ -32,7 +32,7 @@ import numpy as np
 from .errors import (ChartError, CommonComponentError, DegenerateInputError,
                      MatchingError, NumericalError)
 from . import newton
-from .forms import (MONOMIAL_INDEX, CubicForm, ProjPoint,
+from .forms import (MONOMIAL_INDEX, CubicForm, ProjPoint, by_value,
                     chart_points, eval_coeffs, gradient_coeffs,
                     greedy_distinct, monomial_values, proj_distance,
                     substitute_linear, third_partials)
@@ -45,6 +45,7 @@ class SingularPoint:
     local_type: str    # 'node' | 'cusp' | 'tacnode' | 'triple' | 'degenerate'
 
 
+@by_value
 @dataclass(frozen=True)
 class SingularSet:
     points: tuple
@@ -287,7 +288,7 @@ def _chart_coords(p):
 _PIN_ROWS = {'node': 2, 'cusp': 3, 'tacnode': 5}
 
 
-def _pin(coeffs, p, kinds, iters=8):
+def _pin(coeffs, p, kinds):
     """The singular points near the rows of p (m, 3) on the cubics of
     coeffs (m, 10), of the given kinds, by Gauss-Newton on a system that
     is regular there, in the chart of the row's largest coordinate, with
@@ -327,7 +328,7 @@ def _pin(coeffs, p, kinds, iters=8):
         # the normal equations make a square system for the shared core
         return (JH @ r[:, :, None])[:, :, 0], JH @ J
 
-    x = newton.solve(system, x0, iters)[0]
+    x = newton.solve(system, x0, 8)[0]
     done = np.isfinite(x).all(axis=1)
     q[live[done]] = chart_points(x[done], free[done])
     return q
@@ -534,13 +535,13 @@ class FlexEquations:
         return z0[rows, free], lift, system
 
 
-def _batch_newton_flex(fc, hc, z0, iters=18):
+def _batch_newton_flex(fc, hc, z0):
     """Newton-correct candidate inflection points z0 (n, 3) on the 2x2
     system; the rows (n, 3) and whether each is a regular zero."""
     # each row keeps its largest coordinate fixed
     x0, lift, system = FlexEquations(np.argmax(np.abs(z0), axis=1)).system(
         flex_gradients(fc, hc), z0)
-    x, _, r, J = newton.solve(system, x0, iters)
+    x, _, r, J = newton.solve(system, x0, 18)
     z = lift(x)
     size = np.abs(z).max(axis=1)
     # near a singular point the residual is small far from any zero; a

@@ -160,6 +160,8 @@ class PermGroup:
         return p in self.elements
 
     def __eq__(self, other):
+        if not isinstance(other, PermGroup):
+            return NotImplemented
         return self.elements == other.elements
 
     def __hash__(self):

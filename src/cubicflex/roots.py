@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (CommonComponentError, DegenerateInputError,
                      MultiplicityError, RootFindingError)
-from .forms import MONOMIALS
+from .forms import EXP3, by_value
 
 TRIM_REL = 1e-14
 
@@ -43,6 +43,7 @@ def trim(coeffs, rel=TRIM_REL):
     return c[:last + 1].copy()
 
 
+@by_value
 @dataclass
 class UniPoly:
     """Dense univariate polynomial, coefficients in ascending degree."""
@@ -73,6 +74,7 @@ class UniPoly:
         return self.degree < 0 or np.abs(self.coeffs).max() == 0.0
 
 
+@by_value
 @dataclass
 class RootSet:
     """Roots with multiplicities and scaled residuals."""
@@ -85,10 +87,10 @@ class RootSet:
         return int(self.multiplicities.sum())
 
 
-def _newton_polish(poly, dpoly, z, steps=2):
+def _newton_polish(poly, dpoly, z):
     # monotone-guarded: a step is kept only if it reduces |p|, so cluster
     # members sitting at the evaluation noise floor are left alone
-    for _ in range(steps):
+    for _ in range(2):
         pv = poly(z)
         dv = dpoly(z)
         ok = np.abs(dv) > 1e-250
@@ -173,8 +175,7 @@ def all_roots(poly, cluster_radius=1e-5):
 def _in_z3(coeffs):
     # c[k, j] is the coefficient of t^j z3^k in f(1, t, z3)
     c = np.zeros((4, 4), dtype=complex)
-    for n, (i, j) in enumerate(MONOMIALS):
-        c[3 - i - j, j] += coeffs[n]
+    c[EXP3[:, 2], EXP3[:, 1]] = coeffs
     return c
 
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import newton
 from .errors import CrossingError, NumericalError
-from .forms import (EXP2, MONOMIAL_INDEX, CubicForm, ProjPoint,
+from .forms import (DERIV, EXP2, TRIP, CubicForm, ProjPoint, by_value,
                     chart_points, eval_coeffs, eval_gradient,
                     gradient_coeffs, greedy_distinct, monomial_values,
                     proj_distance, substitute_linear, third_partials)
@@ -113,11 +113,10 @@ def _certificate(label, sing, notes=""):
 # ---------------------------------------------------------------------------
 # division and factor tests
 
-# the entries of q -> ell*q: quadric monomial j times z_v is cubic
-# monomial row, and no two (row, j) pairs coincide
-_LINE_ROW, _LINE_COL, _LINE_VAR = np.array(
-    [(MONOMIAL_INDEX[(e2[0] + (v == 0), e2[1] + (v == 1))], j, v)
-     for j, e2 in enumerate(EXP2) for v in range(3)]).T
+# the entries of q -> ell*q: quadric monomial col times z_var is cubic
+# monomial row exactly where d/dz_var takes row to col, and no two
+# (row, col) pairs coincide
+_LINE_VAR, _LINE_COL, _LINE_ROW = np.nonzero(DERIV)
 
 
 def _line_multiplication_matrix(ell):
@@ -155,11 +154,8 @@ def _branch_tangents(coeffs, nodes):
 
 
 def _is_perfect_cube(coeffs, line):
-    """Whether the cubic is proportional to the cube of the given line:
-    z1^3 under the substitution z1 -> line . z."""
-    M = np.zeros((3, 3), dtype=complex)
-    M[0] = line
-    cube = substitute_linear(np.eye(10)[MONOMIAL_INDEX[(3, 0)]], M)
+    """Whether the cubic is proportional to the cube of the given line."""
+    cube = np.einsum('uvwn,u,v,w->n', TRIP, line, line, line)
     return proj_distance(np.asarray(coeffs, dtype=complex), cube) < 1e-8
 
 
@@ -350,6 +346,7 @@ MILNOR = {StratumLabel.B1: 1, StratumLabel.B21: 2, StratumLabel.B22: 2,
           StratumLabel.B31: 3, StratumLabel.B32: 3, StratumLabel.B4: 4}
 
 
+@by_value
 @dataclass(frozen=True)
 class Crossing:
     parameter: np.ndarray        # (t1, t2), normalized
@@ -377,7 +374,7 @@ class PencilCrossings:
         return tuple(c.label for c in self.crossings)
 
 
-def _crossing_newton(pencil, charts, roots, iters=80):
+def _crossing_newton(pencil, charts, roots):
     """Newton on {grad F(u, z) = 0} in (z_free, u) from each fitted root
     u = roots[k] of the chart charts[k] and the best singular-point
     candidate of the member there, all rows in one solve, each with its
@@ -404,7 +401,7 @@ def _crossing_newton(pencil, charts, roots, iters=80):
         least[better], best[better] = size[better], x[better]
         return g, J
 
-    newton.solve(system, best, iters)
+    newton.solve(system, best, 80)
     z, u = chart_points(best, free), best[:, 2]
     # a fitted root is good to about 1e-3 even where a double root splits;
     # on either chart the chordal distance of the parameters is

@@ -9,8 +9,9 @@ import pytest
 from cubicflex import (CubicForm, ProjPoint, Pencil, Net, SchemaError,
                        DegenerateInputError, proj_distance,
                        fermat_cubic, triangle_cubic, node_family, cusp_family)
-from cubicflex.forms import (HESSIAN_TENSOR, HESSIAN_TERMS, MONOMIAL_INDEX,
-                             MONOMIALS, exact_hessian_coeffs, hessian_coeffs,
+from cubicflex.forms import (DERIV, HESSIAN_TENSOR, HESSIAN_TERMS,
+                             MONOMIAL_INDEX, MONOMIALS, MONOMIALS2, PAIR,
+                             THIRD, TRIP, exact_hessian_coeffs, hessian_coeffs,
                              hessian_directional,
                              eval_coeffs, eval_gradient, substitute_linear,
                              third_partials)
@@ -93,6 +94,38 @@ def rand_integer_vector(rng, shape):
 
 def rel_err(x, ref):
     return np.abs(x - ref).max() / np.abs(ref).max()
+
+
+def _sympy_monomial(zs, exps):
+    return zs[0] ** exps[0] * zs[1] ** exps[1] * zs[2] ** exps[2]
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_product_tables_against_sympy(n):
+    """Column n of THIRD, DERIV and TRIP for z^e, the n-th cubic
+    monomial, against sympy's derivatives and expansions."""
+    import sympy as sp
+    zs = sp.symbols('z1 z2 z3')
+    i, j = MONOMIALS[n]
+    F = _sympy_monomial(zs, (i, j, 3 - i - j))
+    for u, v, w in np.ndindex(3, 3, 3):
+        assert THIRD[u, v, w, n] == int(sp.diff(F, zs[u], zs[v], zs[w]))
+        assert TRIP[u, v, w, n] == (sp.expand(zs[u] * zs[v] * zs[w]) == F)
+    for v in range(3):
+        dF = sp.diff(F, zs[v])
+        for m, (a, b) in enumerate(MONOMIALS2):
+            mono = _sympy_monomial(zs, (a, b, 2 - a - b))
+            want = sp.Poly(dF, *zs).coeff_monomial(mono)
+            assert DERIV[v, m, n] == int(want)
+
+
+def test_pair_table_against_sympy():
+    import sympy as sp
+    zs = sp.symbols('z1 z2 z3')
+    for u, v in np.ndindex(3, 3):
+        for m, (a, b) in enumerate(MONOMIALS2):
+            mono = _sympy_monomial(zs, (a, b, 2 - a - b))
+            assert PAIR[u, v, m] == (sp.expand(zs[u] * zs[v]) == mono)
 
 
 def test_sparse_hessian_table_has_102_terms():

@@ -16,7 +16,7 @@ from cubicflex.forms import (EXP3, MONOMIALS, THIRD, CubicForm, ProjPoint,
                              cusp_family, eval_gradient, fermat_cubic,
                              hesse_pencil, node_family, proj_distance,
                              third_partials, triangle_cubic)
-from cubicflex.locus import (InflectionSet, hesse_base_points,
+from cubicflex.locus import (InflectionSet, SingularSet, hesse_base_points,
                              inflection_points, label_against,
                              nearest_labels, singular_points, singular_sets)
 from cubicflex.roots import cubic_in_variable
@@ -151,6 +151,16 @@ class TestSingularCubics:
 
 
 class TestSingularPoints:
+    def test_singular_line_compares_and_hashes_by_value(self):
+        f = from_mono({(2, 1): 1})          # singular along z1 = 0
+        s = singular_points(f)
+        assert s.singular_line is not None
+        assert s == singular_points(f)
+        assert hash(s) == hash(singular_points(f))
+        assert s != singular_points(from_mono({(1, 2): 1}))
+        assert s != SingularSet(s.points)    # an array never equals None
+        assert SingularSet(()) == SingularSet(()) != s
+
     def test_smooth_has_none(self):
         assert singular_points(fermat_cubic()).is_empty()
         rng = np.random.default_rng(0)

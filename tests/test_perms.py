@@ -90,6 +90,9 @@ def test_equal_groups_hash_alike():
     assert hash(PermGroup((G1,))) == hash(PermGroup((G1, G1)))
     assert len({PermGroup((G1,)), PermGroup((G1, G1)),
                 PermGroup((G1 ** 2,)), PermGroup((G2,))}) == 2
+    # a group is unequal to anything that is not a group
+    g = PermGroup((G1,))
+    assert g != 5 and not g == 5 and g != G1 and g != g.elements
 
 
 def test_local_cusp_group_orbits():

@@ -81,6 +81,15 @@ def test_unipoly_degree_and_derivative():
     assert np.isclose(p(2.0 + 0j), 13.0)
 
 
+def test_polynomials_and_root_sets_compare_by_value():
+    p = UniPoly([1, -3, 2])
+    assert p == UniPoly([1.0, -3.0, 2.0])
+    assert p != UniPoly([1, -3]) and p != UniPoly([1, -3, 3]) and p != "p"
+    rs = all_roots(p)
+    assert rs == all_roots(UniPoly([1, -3, 2]))
+    assert rs != all_roots(UniPoly([1, -4, 2]))
+
+
 def test_fermat_triangle_resultant_closed_form():
     # eliminating z3 on the line (z1, z2) = (1, t), the resultant of the
     # Fermat cubic and z1 z2 z3 is proportional to t^3 (1 + t^3):

@@ -255,6 +255,19 @@ class TestDiscriminant:
 
 
 class TestPencilCrossings:
+    def test_equality_and_hash_by_value(self):
+        pc, again = (pencil_crossings(hesse_pencil()) for _ in range(2))
+        assert pc == again and hash(pc) == hash(again)
+        assert pc.crossings[0] == again.crossings[0]
+        assert pc.crossings[0] != pc.crossings[1]
+        assert len(set(pc.crossings + again.crossings)) == 4
+        # z1^2 z2 is singular along the line z1 = 0
+        _, cert = classify(M({(2, 1): 1}))
+        _, same = classify(M({(2, 1): 1}))
+        assert cert.singular.singular_line is not None
+        assert cert == same and hash(cert) == hash(same)
+        assert cert != classify(M({(1, 2): 1}))[1]
+
     def test_hesse_pencil_four_triangles(self):
         pc = pencil_crossings(hesse_pencil())
         assert len(pc.crossings) == 4
