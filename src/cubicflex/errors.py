@@ -22,10 +22,7 @@ class NumericalError(CubicflexError):
 
 
 class RootFindingError(NumericalError):
-    def __init__(self, message, iterates=None, residuals=None):
-        super().__init__(message)
-        self.iterates = iterates
-        self.residuals = residuals
+    """A polynomial root did not converge or a coefficient is not finite."""
 
 
 class MultiplicityError(NumericalError):
@@ -38,8 +35,8 @@ class CommonComponentError(NumericalError):
 
 class ChartError(NumericalError):
     """The inflection resultant in the fixed frame did not resolve: the
-    singular point's multiplicity did not fit, a simple inflection point
-    failed its Newton polish, or the wrong number of them was found."""
+    singular point's multiplicity did not fit, or the Newton solve on the
+    cubic found the wrong number of simple inflection points."""
 
 
 class MatchingError(NumericalError):

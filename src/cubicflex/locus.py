@@ -6,9 +6,10 @@ unitary frame, their resultant in z3 on the line (z1, z2) = (1, t)
 projects them to roots in t.  A cubic with a finite inflection scheme is
 smooth or has one node or cusp, so the known multiplicity of that
 single singular point (6 or 8) is divided out of the resultant.  The
-lines through the roots of the quotient meet the cubic in Newton starts
-for the shared batched core in newton.py, and the distinct regular zeros
-found must be the simple inflection points.
+frame only projects: the lines through the roots of the quotient meet
+the cubic in points that, mapped back, are Newton starts on the cubic
+itself for the shared batched core in newton.py, and the distinct
+regular zeros found must be the simple inflection points.
 
 Singular points of a cone (triple point or singular line) follow from
 its binary form.  Otherwise they are common zeros of the three partial
@@ -537,19 +538,21 @@ class FlexEquations:
 
 def _batch_newton_flex(fc, hc, z0):
     """Newton-correct candidate inflection points z0 (n, 3) on the 2x2
-    system; the rows (n, 3) and whether each is a regular zero."""
+    system; the rows that reach a regular zero, by their next relative
+    Newton step, best first."""
     # each row keeps its largest coordinate fixed
     x0, lift, system = FlexEquations(np.argmax(np.abs(z0), axis=1)).system(
         flex_gradients(fc, hc), z0)
-    x, _, r, J = newton.solve(system, x0, 18)
+    x, _, r, J = newton.solve(system, x0, 24)
     z = lift(x)
     size = np.abs(z).max(axis=1)
     # near a singular point the residual is small far from any zero; a
     # next Newton step below the radius that tells flexes apart marks a
     # regular zero
-    step = np.abs(newton.linear_solve(J, r)).max(axis=1)
-    good = (np.abs(r) < 1e-10 * size[:, None] ** 3).all(axis=1)
-    return z, good & (step < 1e-7 * size) & (size < 1e7)
+    step = np.abs(newton.linear_solve(J, r)).max(axis=1) / size
+    good = ((np.abs(r) < 1e-10 * size[:, None] ** 3).all(axis=1)
+            & (step < 1e-7) & (size < 1e7))
+    return z[np.argsort(np.where(good, step, np.inf))[:good.sum()]]
 
 
 def inflection_points(f):
@@ -563,15 +566,15 @@ def inflection_points(f):
     or cusp, where the multiplicity is 6 or 8 (Harris, Duke Math. J.
     1979).  That known factor (t - t_s)^m of R is divided out by linear
     least squares, and the fit residual checks m.  The points where the
-    line of each root of the quotient meets g or its Hessian are Newton
-    starts in the frame; the distinct regular zeros away from the
-    singular point must be exactly the 9 - m simple inflection points.
-    They are mapped back through U and polished again.
+    line of each root of the quotient meets g or its Hessian, mapped back
+    through U, are Newton starts on f itself: the frame only projects.
+    The distinct regular zeros away from the singular point must be
+    exactly the 9 - m simple inflection points.
 
     Raises CommonComponentError when the cubic shares a component with
     its Hessian (every cubic containing a line does, and so does every
-    cubic with two or more singular points), ChartError when the fit or a
-    polish fails or the count of simple inflection points is wrong.
+    cubic with two or more singular points), ChartError when the fit
+    fails or the count of simple inflection points is wrong.
     """
     fn = f if isinstance(f, CubicForm) else CubicForm(f)
     # a power of two scales without rounding: through the Hessian, a flex
@@ -619,22 +622,19 @@ def inflection_points(f):
     # Hessian is a start: close to a singular cubic the roots cluster and
     # lose accuracy, and a line's flex may be reached only from another
     # line's point.  Repeats and the singular point drop out, and 9 - m
-    # simple flexes must remain
+    # simple flexes must remain.  The starts are mapped back through U and
+    # solved on f itself, whose zeros the rounded coefficients of g only
+    # approximate; each flex keeps its best-converged row
     ts = all_roots(Q, cluster_radius=1e-12).roots
-    z, good = _batch_newton_flex(gc, hgc, np.concatenate(
-        [_line_candidates(gc, ts), _line_candidates(hgc, ts)]))
-    z = z[good]
+    z = _batch_newton_flex(fc, hc, np.concatenate(
+        [_line_candidates(gc, ts), _line_candidates(hgc, ts)])
+        @ _FLEX_FRAME.T)
     for ip in pts:
-        z = z[proj_distance(_FLEX_FRAME.conj().T @ ip.point.coords, z)
-              >= 1e-3]
+        z = z[proj_distance(ip.point.coords, z) >= 1e-3]
     z = z[greedy_distinct(z, 1e-7)]
     if len(z) != len(Q) - 1:
         raise ChartError(f"{len(z)} distinct simple inflection points, "
                          f"not {len(Q) - 1}")
-    z, good = _batch_newton_flex(fc, hc, z @ _FLEX_FRAME.T)
-    if not good.all():
-        raise ChartError("a simple inflection point failed the Newton "
-                         "polish after the frame change")
     simple = [InflectionPoint(ProjPoint(p), 1) for p in z]
     return _finish(fn, hess, tuple(simple + pts))
 

@@ -156,8 +156,7 @@ def all_roots(poly, cluster_radius=1e-5):
     for c, m, r in zip(centers, mults, scaled):
         if m == 1 and r > 1e-8:
             raise RootFindingError(
-                f"root {c} did not converge (scaled residual {r:.3g})",
-                iterates=centers, residuals=scaled)
+                f"root {c} did not converge (scaled residual {r:.3g})")
         if m >= 2:
             dval = abs(dm(np.array([c]))[0]) / (
                 dscale * (1.0 + abs(c)) ** max(dm.degree, 0))

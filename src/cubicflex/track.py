@@ -26,11 +26,12 @@ so no pinned coordinate tends to 0 along the path.
 
 Retraced segments.  Within one loop, the lift of each tracked segment,
 its pinned points at start and end, is recorded.  A later segment that
-is bitwise its reverse (a Line with swapped end point bytes, an Arc with
-the same centre, direction and radius bytes and swapped turns) is not
-tracked: path lifting is unique, so each point moves to the start of
-the sheet whose end it matches within SEPARATION_GATE times the least
-separation, and a failed match raises TrackingError.  steps_taken
+equals its reverse, as segments compare by value (a Line with swapped
+end points, an Arc with the same centre, direction and radius and
+swapped turns), is not tracked: path lifting is unique, so each point
+moves to the start of the sheet whose end it matches within
+SEPARATION_GATE times the least separation, and a failed match raises
+TrackingError.  steps_taken
 counts tracked steps only; no lift outlives its loop.
 
 Bypass routes.  The crossings of a line through the basepoint, their
@@ -181,14 +182,6 @@ def _reversed_segments(segments):
                  else Arc(seg.center, seg.direction, seg.radius,
                           seg.turn_end, seg.turn_start)
                  for seg in reversed(segments))
-
-
-def _segment_key(seg):
-    """The bytes that fix the path of a segment."""
-    if isinstance(seg, Line):
-        return seg.start.coeffs.tobytes(), seg.end.coeffs.tobytes()
-    return (seg.center.coeffs.tobytes(), seg.direction.coeffs.tobytes(),
-            np.array([seg.radius, seg.turn_start, seg.turn_end]).tobytes())
 
 
 @dataclass(frozen=True)
@@ -451,7 +444,7 @@ def track_loop(loop, labels=None):
             "proximity guard")
     lifts, retraced = {}, 0
     for seg in loop.segments:
-        lift = lifts.get(_segment_key(seg))
+        lift = lifts.get(seg)
         if lift is not None:
             tracker.retrace(*lift)
             retraced += 1
@@ -460,7 +453,7 @@ def track_loop(loop, labels=None):
         tracker.run_segment(seg)
         # the reverse's lift, from these end rows back to these start
         # rows; run_segment rebinds tracker.Z and never writes into it
-        lifts[_segment_key(*_reversed_segments((seg,)))] = (tracker.Z, starts)
+        lifts[_reversed_segments((seg,))[0]] = (tracker.Z, starts)
     # row k of Z is the sheet that started at the k-th smallest label
     perm = Perm(nearest_labels(tracker.Z,
                                [ip.point.coords for ip in ordered],

@@ -6,7 +6,8 @@ Criteria 1, 3, 4, 5, 6 delegate to the verification suites in
 expectations (group orders and relations, tracked permutations, local
 group structures, crossing counts, integer invariants).  Criterion 2
 (inflection facts) and criterion 7 (randomized property suites) are
-implemented directly here.
+implemented directly here.  The strata suite, which no criterion runs,
+has a test of its own.
 """
 
 import time
@@ -88,6 +89,12 @@ def test_criterion_5_discriminant_counts():
 
 def test_criterion_6_invariant_chain():
     run_gate(6, "invariants", 1.0)
+
+
+def test_strata_suite_passes_every_check():
+    records = run_suite("strata")
+    assert len(records) == 12
+    assert [r.name for r in records if not r.passed] == []
 
 
 def test_criterion_7_property_suites():

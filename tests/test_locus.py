@@ -8,6 +8,7 @@ itself.
 import mpmath
 import numpy as np
 import pytest
+import sympy
 
 from cubicflex import locus
 from cubicflex.errors import (CommonComponentError, MatchingError,
@@ -311,6 +312,15 @@ def gaussian_image(f, key):
     return f.transform(M), M
 
 
+def perturbed(base, eps, k, real=False):
+    """base + eps g, with g = standard_normal(10) + 1j*standard_normal(10)
+    from default_rng(k), or (1 + 1j) standard_normal(10) when real."""
+    rng = np.random.default_rng(k)
+    g = ((1 + 1j) * rng.standard_normal(10) if real
+         else rng.standard_normal(10) + 1j * rng.standard_normal(10))
+    return CubicForm(base.coeffs + eps * g)
+
+
 def mp_flex(coeffs, z, digits=40):
     """The solution of {F, H} = 0 at `digits` digits, by Newton from z
     with the largest coordinate of z held at 1; the Hessian is the
@@ -370,13 +380,59 @@ class TestFixedFrame:
         # At 1e-9 the resultant's roots near the singular point are too
         # clustered to give one start per flex
         for seed in range(3):
-            rng = np.random.default_rng(seed)
-            g = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-            fl = inflection_points(CubicForm(base.coeffs + eps * g))
+            fl = inflection_points(perturbed(base, eps, seed))
             assert fl.multiplicity_signature() == (1,) * 9
             near = proj_distance([0, 0, 1],
                                  [ip.point.coords for ip in fl.points]) < 0.2
             assert near.sum() == count
+
+    @pytest.mark.parametrize("kind,eps,k,real", [
+        *[("cusp", 1e-11, k, False) for k in (*range(6), *range(100, 110))],
+        ("cusp", 1e-8, 7, True),
+        *[("node", 1e-10, k, False) for k in (59, 137, 150)]])
+    def test_nine_flexes_close_to_the_singular_point(self, kind, eps, k,
+                                                     real):
+        # the crowded flexes lie as little as 4e-6 apart, and the starts
+        # from the resultant's clustered roots are off by more than that;
+        # one Newton solve on the cubic itself still reaches each of them
+        base, count = {"cusp": (cusp_family(0.0), 8),
+                       "node": (node_family(1.0, 1.0, 0.0), 6)}[kind]
+        fl = inflection_points(perturbed(base, eps, k, real))
+        assert fl.multiplicity_signature() == (1,) * 9
+        near = proj_distance([0, 0, 1],
+                             [ip.point.coords for ip in fl.points]) < 0.2
+        assert near.sum() == count
+
+    def test_near_cusp_flexes_against_an_80_digit_resultant(self):
+        # the exact resultant in w3 of g = f(P w) and its Hessian on the
+        # line (1, t, w3), for a fixed rational frame P; its roots, and the
+        # common point of g and the Hessian on each line, at 80 digits
+        f = perturbed(cusp_family(0.0), 1e-11, 0)
+        P = [[1, 2, -1], [3, -1, 2], [1, 1, 3]]
+        z = sympy.symbols("z1 z2 z3")
+        t = sympy.Symbol("t")
+        w = sympy.Matrix(P) * sympy.Matrix(z)
+        g = sympy.expand(sum(
+            (sympy.Rational(c.real) + sympy.I * sympy.Rational(c.imag))
+            * w[0] ** i * w[1] ** j * w[2] ** (3 - i - j)
+            for c, (i, j) in zip(f.coeffs, MONOMIALS)))
+        h = sympy.expand(sympy.hessian(g, z).det(method="berkowitz"))
+        line = {z[0]: 1, z[1]: t}
+        R = sympy.Poly(sympy.resultant(g.subs(line), h.subs(line), z[2]), t)
+        assert R.degree() == 9
+        g_on = [sympy.lambdify(t, c, "mpmath")
+                for c in sympy.Poly(g.subs(line), z[2]).all_coeffs()]
+        h_on = sympy.lambdify((t, z[2]), h.subs(line), "mpmath")
+        got = [ip.point.coords for ip in inflection_points(f).points]
+        with mpmath.workdps(80):
+            for r in mpmath.polyroots(
+                    [mpmath.mpc(sympy.re(c).evalf(90), sympy.im(c).evalf(90))
+                     for c in R.all_coeffs()], maxsteps=500, extraprec=400):
+                w3 = min(mpmath.polyroots([c(r) for c in g_on], maxsteps=200,
+                                          extraprec=200),
+                         key=lambda x: abs(h_on(r, x)))
+                ref = [complex(a + b * r + c * w3) for a, b, c in P]
+                assert proj_distance(ref, got).min() < 1e-15
 
     @pytest.mark.parametrize("base,key", [
         (node_family(1.0, 1.0, 0.0), 177), (fermat_cubic(), 151)],
