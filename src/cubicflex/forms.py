@@ -64,11 +64,13 @@ WORD = _words(MONOMIALS, 3)
 FACTORS = {d: tuple(_words(basis, d).T.copy())
            for d, basis in ((2, MONOMIALS2), (3, MONOMIALS))}
 
+# the Levi-Civita symbol eps_ijk
+LEVI_CIVITA = np.cross(np.eye(3)[:, None], np.eye(3))
+
 # hessian(f) = sum_abc HESSIAN_TENSOR[:, a, b, c] f_a f_b f_c: the
 # determinant eps_ijk H_0i H_1j H_2k of the second partials
 # H_uv = f_a THIRD[u, v, P, a] z_P, with TRIP collecting the z_P z_Q z_R
-HESSIAN_TENSOR = np.einsum('ijk,iPa,jQb,kRc,PQRm->mabc',
-                           np.cross(np.eye(3)[:, None], np.eye(3)),  # eps
+HESSIAN_TENSOR = np.einsum('ijk,iPa,jQb,kRc,PQRm->mabc', LEVI_CIVITA,
                            THIRD[0], THIRD[1], THIRD[2], TRIP, optimize=True)
 
 # The 102 nonzero entries of HESSIAN_TENSOR as a sparse sum: column t of

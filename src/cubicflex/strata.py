@@ -7,22 +7,21 @@ observed singular points.  classify_all() does the same for a sequence
 of cubics on one locus.singular_sets pass; classify() is its list of
 one.
 
-discriminant_value() and pencil_discriminant_fit() evaluate the
-discriminant, the Macaulay resultant of the gradient quadrics, in the
-one fixed generic frame U of locus (the flexes' and the net cusps'),
-and divide out det(U)^12, so no value depends on the frame.  A pencil
-whose samples are all rounding noise lies inside the discriminant, and
-the fit raises CrossingError.  The fit's degree is read off its own
-rounding noise, the coefficients above degree 12.
+discriminant_value() is (3^10 / 4)(T^2 - S^3 / 6), from the Aronhold
+invariants S and T, each a contraction of copies of third_partials(f)/6
+with the Levi-Civita symbol.  pencil_discriminant_fit() composes the one
+degree-12 polynomial of a pencil exactly, from S(u) and T(u), with a
+rounding bound on each coefficient; a coefficient within it is zero, and
+a pencil with every coefficient zero lies inside the discriminant
+(CrossingError).  The other chart's polynomial is the same one reversed.
 
-pencil_crossings() refines every root of an interpolated degree-12
-discriminant polynomial of a pencil, of both charts at once, by one
-Newton solve on the gradient system in (point, parameter).  The roots
-that reach a crossing are its multiplicity, which the class of its
-member must bear out; the distinct members are classified together.
-Both ends of the pencil are alike: an end where the other chart's
-polynomial drops degree is classified directly, and its root is divided
-out of its own chart's polynomial.
+pencil_crossings() reads the multiplicities at both ends off the zero
+coefficients at each end of that polynomial, and classifies those ends
+directly.  It refines every other root, each on the chart where it lies
+in the unit disc, by one Newton solve on the gradient system in (point,
+parameter).  The roots that reach a crossing are its multiplicity, which
+the class of its member must bear out; the distinct members are
+classified together.
 
 net_cusp_members() finds the cuspidal members of a two-parameter net:
 one hidden-variable resultant eigensolve gives a candidate point near
@@ -43,17 +42,14 @@ import numpy as np
 
 from . import newton
 from .errors import CrossingError, NumericalError
-from .forms import (DERIV, EXP2, TRIP, CubicForm, ProjPoint, by_value,
-                    chart_points, eval_coeffs, eval_gradient,
+from .forms import (DERIV, LEVI_CIVITA, TRIP, CubicForm, Pencil, ProjPoint,
+                    by_value, chart_points, eval_coeffs, eval_gradient,
                     gradient_coeffs, greedy_distinct, monomial_values,
                     proj_distance, substitute_linear, third_partials)
 from .locus import (_FLEX_FRAME, _FREE, _NO_LINE_PAIR, SingularSet,
                     _binary_quadratic_roots, _chart_coords, _det_jet,
                     _first_error, _jet, _singular_candidates, _singular_sets)
 from .roots import UniPoly, all_roots
-
-DISCRIMINANT_SAMPLES = 25
-
 
 class StratumLabel(str, Enum):
     SMOOTH = "Smooth"
@@ -236,105 +232,96 @@ def _label(fn, sing, residuals):
 
 
 # ---------------------------------------------------------------------------
-# numeric discriminant via Macaulay elimination of the gradient quadrics
+# the discriminant from the Aronhold invariants S and T
 
-MON4 = [(i, j, 4 - i - j) for i in range(4, -1, -1)
-        for j in range(4 - i, -1, -1)]
-MON4_INDEX = {m: n for n, m in enumerate(MON4)}
-
-
-def _macaulay_structure():
-    """Scatter plan: for each degree-4 monomial (a row), which quadric
-    times which degree-2 multiplier produces it; entry k of the plan puts
-    coefficient term[k] of quadric eq[k] at (row[k], col[k])."""
-    plan = []
-    for r, alpha in enumerate(MON4):
-        if alpha[0] >= 2:
-            eq, mult = 0, (alpha[0] - 2, alpha[1], alpha[2])
-        elif alpha[1] >= 2:
-            eq, mult = 1, (alpha[0], alpha[1] - 2, alpha[2])
-        else:
-            eq, mult = 2, (alpha[0], alpha[1], alpha[2] - 2)
-        for k, e2 in enumerate(EXP2):
-            tgt = (mult[0] + e2[0], mult[1] + e2[1],
-                   mult[2] + (2 - e2[0] - e2[1]))
-            plan.append((r, MON4_INDEX[tgt], eq, k))
-    reduced2 = [MON4_INDEX[m] for m in ((2, 2, 0), (2, 0, 2), (0, 2, 2))]
-    return np.array(plan).T, np.array(reduced2)
+# The symbolic method (Sturmfels, Algorithms in Invariant Theory, 2008;
+# Dolgachev, Classical Algebraic Geometry, 2012, ch. 3): each symbol
+# a, b, ... is a copy of the symmetric tensor A = third_partials(f) / 6,
+# each bracket (abc) a Levi-Civita symbol contracting one index of each
+# of its symbols, and
+#     S = (abc)(abd)(acd)(bcd),    T = (abc)(abd)(ace)(bcf)(def)^2.
+# Each copy takes its tensor from a stack by a (lower-case) index of its
+# own, and every operand carries a leading index z over the contraction
+# and the same contraction of absolute values.
+_S_SUBSCRIPTS = 'zilo,zjmr,zkps,znqt,zaijk,zblmn,zcopq,zdrst->zabcd'
+_T_SUBSCRIPTS = ('zADG,zBEJ,zCHM,zFIP,zKNQ,zLOR,'
+                 'zaABC,zbDEF,zcGHI,zdJKL,zeMNO,zfPQR->zabcdef')
+_BRACKET = np.array([LEVI_CIVITA, np.abs(LEVI_CIVITA)])
+# greedy pairwise paths, for a pencil's stack of two tensors; numpy's
+# default cap on the intermediates (the largest operand) would leave one
+# naive loop over all 18 indices of T
+_S_PATH, _T_PATH = (
+    np.einsum_path(sub, *[_BRACKET] * n, *[np.ones((2, 2, 3, 3, 3))] * n,
+                   optimize=('greedy', 10 ** 4))[0]
+    for sub, n in ((_S_SUBSCRIPTS, 4), (_T_SUBSCRIPTS, 6)))
 
 
-_MACAULAY_PLAN, _MACAULAY_MINOR = _macaulay_structure()
+def _invariants(cs):
+    """S(u) and T(u), ascending in u, on the line cs[0] + u cs[1] of a pair
+    of cubics cs (2, 10), or S and T of cs[0] alone (1, 10): two pairs
+    (value, error).  The error is the same contraction of absolute values,
+    and the rounding of the value is a small multiple of eps times it.
+    Each coefficient is the sum of its own polarised terms, so its error
+    is its own, whatever the scales of the two cubics."""
+    A = third_partials(cs) / 6
+    X = np.array([A, np.abs(A)])
+    out = []
+    for sub, n, path in ((_S_SUBSCRIPTS, 4, _S_PATH),
+                         (_T_SUBSCRIPTS, 6, _T_PATH)):
+        terms = np.einsum(sub, *[_BRACKET] * n, *[X] * n, optimize=path)
+        # a term's degree in u is the number of copies taken from cs[1]
+        degree = np.indices(terms.shape[1:]).sum(axis=0).ravel()
+        value, error = terms.reshape(2, -1) @ (
+            degree[:, None] == np.arange(degree.max() + 1))
+        out.append((value, error.real))
+    return out
 
 
-def _macaulay_dets(Q):
-    """(det of the 15x15 elimination matrix, det of its extraneous 3x3
-    minor) for three quadrics given as a (..., 3, 6) coefficient array,
-    each stacked matrix a determinant of its own."""
-    row, col, eq, term = _MACAULAY_PLAN
-    M = np.zeros(Q.shape[:-2] + (15, 15), dtype=complex)
-    M[..., row, col] = Q[..., eq, term]
-    minor = M[..., _MACAULAY_MINOR[:, None], _MACAULAY_MINOR]
-    return np.linalg.det(M), np.linalg.det(minor)
-
-
-# the coefficients of f(U z) are those of f times _FRAME_SUB, and the
-# resultant of the gradients of f(U z) is det(U)^12 times that of f
-_FRAME_SUB = np.array([substitute_linear(e, _FLEX_FRAME) for e in np.eye(10)])
-_FRAME_DET12 = np.linalg.det(_FLEX_FRAME) ** 12
-
-
-def _framed_discriminant(a):
-    """Discriminants of f from the stacked coefficients a of f(U z)."""
-    det15, det3 = _macaulay_dets(gradient_coeffs(a))
-    return det15 / det3 / _FRAME_DET12
+def _discriminant_polynomial(cs):
+    """The discriminant (3^10 / 4)(T^2 - S^3 / 6) on the line of cs, as
+    _invariants takes it: ascending coefficients (13,) in u, or (1,), and
+    the rounding bound of each.  The bound carries the errors of S and T
+    through the products, with the computed |S| and |T| (to first order),
+    and adds the rounding of the products themselves."""
+    (s, s_err), (t, t_err) = _invariants(cs)
+    conv = np.convolve
+    value = conv(t, t) - conv(conv(s, s), s) / 6
+    s, t = np.abs(s), np.abs(t)
+    bound = (conv(t, t) + 2 * conv(t, t_err) + conv(conv(s, s), s) / 6
+             + conv(conv(s, s), s_err) / 2)
+    # 16 units of rounding: on Gaussian images of the singular named
+    # cubics at an end, and on pencils inside the discriminant, the zero
+    # coefficients read below 1e-16 of these sums, and the others above
+    # 5e-14
+    return (3 ** 10 / 4 * value,
+            3 ** 10 / 4 * 16 * np.finfo(float).eps * bound)
 
 
 def discriminant_value(f):
-    """Numeric discriminant: the resultant of the three gradient
-    quadrics, computed as a Macaulay determinant ratio in the generic
-    frame U and divided by det(U)^12.  Vanishes exactly on singular
-    cubics, scales with the twelfth power of the input, and is
-    det(M)^12 times itself under f -> f(M z)."""
+    """Numeric discriminant (3^10 / 4)(T^2 - S^3 / 6) from the Aronhold
+    invariants S and T: the resultant of the three gradient quadrics.
+    Vanishes exactly on singular cubics, scales with the twelfth power of
+    the input, and is det(M)^12 times itself under f -> f(M z)."""
     fn = f if isinstance(f, CubicForm) else CubicForm(f)
-    return _framed_discriminant(fn.coeffs @ _FRAME_SUB)
-
-
-def _chart_pair(pencil, chart):
-    """(c0, c1) with the chart's members c0 + u c1: chart 0 is f0 + u f1,
-    chart 1 is u f0 + f1."""
-    c0, c1 = pencil.f0.coeffs, pencil.f1.coeffs
-    return (c0, c1) if chart == 0 else (c1, c0)
+    return _discriminant_polynomial(fn.coeffs[None])[0][0]
 
 
 def pencil_discriminant_fit(pencil, chart=0):
-    """Ascending coefficients of the degree-<=12 discriminant polynomial
-    on one affine chart of the pencil (chart 0: f0 + u f1, chart 1:
-    v f0 + f1), interpolated from discriminant_value's framed samples on
-    a circle.  The coefficients above degree 12 are rounding noise; the
-    leading ones within 100 times the largest of those are set to zero,
-    so the fit's degree is read off its own noise.  Samples all below
-    1e-10 of the largest spanning coefficient to the twelfth raise
-    CrossingError ("pencil inside discriminant"); a circle whose fit
-    leaves a tail, as one through a member with a vanishing extraneous
-    minor does, is retried at another radius.
+    """Ascending coefficients (13,) of the discriminant polynomial on one
+    affine chart of the pencil (chart 0: f0 + u f1, chart 1: v f0 + f1),
+    composed exactly from S(u) and T(u); chart 1's is chart 0's reversed.
+    A coefficient within its rounding bound is set to zero, so the
+    degree drop at either end is read off the polynomial itself.  A
+    pencil whose every coefficient is zero lies inside the discriminant:
+    CrossingError ("pencil inside discriminant").
     """
-    a0, a1 = np.array(_chart_pair(pencil, chart)) @ _FRAME_SUB
-    floor = 1e-10 * max(pencil.f0.scale(), pencil.f1.scale()) ** 12
-    n = DISCRIMINANT_SAMPLES
-    for radius in (1.0, 1.37, 0.73):
-        us = radius * np.exp(2j * np.pi * np.arange(n) / n)
-        vals = _framed_discriminant(a0 + us[:, None] * a1)
-        if np.abs(vals).max() < floor:
-            raise CrossingError("pencil inside discriminant: every sample "
-                                "of its discriminant is rounding noise")
-        coeffs = np.fft.fft(vals) / n / radius ** np.arange(n)
-        noise = np.abs(coeffs[13:]).max()
-        if noise < 1e-6 * np.abs(coeffs).max():
-            coeffs = coeffs[:13]
-            coeffs[np.flatnonzero(np.abs(coeffs) > 100 * noise)[-1] + 1:] = 0
-            return coeffs
-    raise CrossingError(
-        "discriminant interpolation failed on every sample circle")
+    value, bound = _discriminant_polynomial(np.array(
+        [pencil.f0.coeffs, pencil.f1.coeffs]))
+    value[np.abs(value) <= bound] = 0
+    if not value.any():
+        raise CrossingError("pencil inside discriminant: every coefficient "
+                            "of its discriminant is within rounding")
+    return value if chart == 0 else value[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +362,10 @@ class PencilCrossings:
 
 
 def _crossing_newton(pencil, charts, roots):
-    """Newton on {grad F(u, z) = 0} in (z_free, u) from each fitted root
-    u = roots[k] of the chart charts[k] and the best singular-point
-    candidate of the member there, all rows in one solve, each with its
-    own chart pair and free coordinates.  Returns the crossings'
+    """Newton on {grad F(u, z) = 0} in (z_free, u) from each root u =
+    roots[k] of the discriminant on the chart charts[k] and the best
+    singular-point candidate of the member there, all rows in one solve,
+    each with its own chart pair and free coordinates.  Returns the crossings'
     parameters (t1, t2) (n, 2) and points (n, 3); raises for the first
     root whose candidate search or Newton run fails."""
     first = (charts == 0)[:, None]
@@ -403,7 +390,7 @@ def _crossing_newton(pencil, charts, roots):
 
     newton.solve(system, best, 80)
     z, u = chart_points(best, free), best[:, 2]
-    # a fitted root is good to about 1e-3 even where a double root splits;
+    # a root is good to about 1e-3 even where a double root splits;
     # on either chart the chordal distance of the parameters is
     # |u - r| / sqrt((1 + |u|^2)(1 + |r|^2))
     good = (least < 1e-9 * np.maximum(np.abs(z).max(axis=1) ** 2, 1)
@@ -420,7 +407,7 @@ def _crossing_newton(pencil, charts, roots):
             raise NumericalError(_NO_LINE_PAIR)
         if not good[k]:
             raise CrossingError(
-                f"Newton from the fitted discriminant root {param(roots)[k]} "
+                f"Newton from the discriminant root {param(roots)[k]} "
                 "did not converge to a crossing near it")
     return param(u), z
 
@@ -428,46 +415,48 @@ def _crossing_newton(pencil, charts, roots):
 def pencil_crossings(pencil):
     """All parameters where a pencil member is singular, classified.
 
-    Every root of the interpolated degree-12 discriminant is a crossing
-    parameter: those with |u| <= 1 from the chart f0 + u f1, the rest from
-    the chart v f0 + f1.  Both ends are alike: where the other chart's
-    fit drops degree by m > 0, the spanning cubic (f0 at u = 0, f1 at
-    u = infinity) is classified directly; unless smooth, it is a crossing
-    of multiplicity m, and its chart's m lowest coefficients, rounding
-    noise, are divided out, so no noisy roots at that end mingle with a
-    genuine crossing near it.  The other roots are seeded from one
-    stacked singular-point candidate search and refined together by one
-    Newton solve on the gradient system in (point, parameter).  Roots
-    that reach the same crossing count towards its multiplicity, and the
-    distinct crossings' members are classified in one classify_all pass;
-    each class must bear its multiplicity out, else CrossingError.  A
-    pencil inside the discriminant raises CrossingError from
-    pencil_discriminant_fit.  A failure is reported for the first end,
-    root, then crossing that fails.
+    Every root of the degree-12 discriminant polynomial of
+    pencil_discriminant_fit is a crossing parameter, taken on the pencil
+    of the spanning cubics scaled to one size and mapped back, so that
+    Pencil(f0, c f1) has the same crossings with the parameters scaled by
+    1/c.  Both ends are alike: where the polynomial has m > 0 zero
+    coefficients at one end, the spanning cubic there (f0 at u = 0, f1 at
+    u = infinity) is classified directly and must be a crossing of
+    multiplicity m.  The other roots come from one root solve of the
+    polynomial with both ends divided out, each taken on the chart where
+    it lies in the unit disc: u on f0 + u f1, v = 1/u on v f0 + f1.  They
+    are seeded from one stacked singular-point candidate search and
+    refined together by one Newton solve on the gradient system in
+    (point, parameter).  Roots that reach the same crossing count towards
+    its multiplicity, and the distinct crossings' members are classified
+    in one classify_all pass; each class must bear its multiplicity out,
+    else CrossingError.  A pencil inside the discriminant raises
+    CrossingError from pencil_discriminant_fit.  A failure is reported for
+    the first end, root, then crossing that fails.
     """
-    fits = [pencil_discriminant_fit(pencil, chart) for chart in (0, 1)]
-    # the other chart's degree drop is the multiplicity at a chart's origin
-    ends = [12 - int(np.flatnonzero(fit)[-1]) for fit in fits[::-1]]
+    # the roots, charts and distances are those of the spanning cubics
+    # scaled to one size, whose parameter is scales * t
+    scales = np.array([pencil.f0.scale(), pencil.f1.scale()])
+    unit = Pencil(pencil.f0 * (1 / scales[0]), pencil.f1 * (1 / scales[1]))
+    poly = pencil_discriminant_fit(unit)
+    # the multiplicities at u = 0 and infinity: the zeros at each end
+    low, high = np.flatnonzero(poly)[[0, -1]]
     crossings = []
-    for chart in np.flatnonzero(ends):
-        m, t = ends[chart], np.eye(2)[chart]
-        member = pencil.member(t)
-        end = classify(member)
-        if end[0] is not StratumLabel.SMOOTH:
-            # the m lowest coefficients are this end's root: rounding noise
-            fits[chart] = fits[chart][m:]
-            crossings.append(_crossing(pencil, chart, t, m, member, end))
-    roots0, roots1 = (all_roots(UniPoly(fit, rel=0.0), cluster_radius=0.0)
-                      .roots for fit in fits)
-    roots0 = roots0[np.abs(roots0) <= 1]
-    roots1 = roots1[np.argsort(np.abs(roots1))][
-        :12 - sum(c.multiplicity for c in crossings) - len(roots0)]
-    charts = np.repeat([0, 1], [len(roots0), len(roots1)])
-    ts, zs = _crossing_newton(pencil, charts,
-                              np.concatenate([roots0, roots1]))
+    for chart, m in enumerate((low, 12 - high)):
+        if m:
+            t = np.eye(2)[chart]
+            member = pencil.member(t)
+            crossings.append(_crossing(pencil, chart, t, int(m), member,
+                                       classify(member)))
+    roots = all_roots(UniPoly(poly[low:high + 1], rel=0.0),
+                      cluster_radius=0.0).roots
+    # each root on the chart where it lies in the unit disc
+    charts = (np.abs(roots) > 1).astype(int)
+    ts, zs = _crossing_newton(unit, charts,
+                              np.where(charts, 1 / roots, roots))
     kept = greedy_distinct(ts, 1e-6)
     owner = np.argmin(proj_distance(ts, ts[kept]), axis=1) if kept else []
-    params = [_canonical(ts[k]) for k in kept]
+    params = [_canonical(ts[k] / scales) for k in kept]
     members = [pencil.member(t) for t in params]
     for k, t, member, m, classified in zip(
             kept, params, members, np.bincount(owner, minlength=len(kept)),
@@ -496,7 +485,7 @@ def _canonical(t):
 
 def _crossing(pencil, chart, t, m, member, classified, near=None):
     """The crossing at the canonical parameter t, whose member is
-    classified as `classified`, that m fitted roots on a chart reach.
+    classified as `classified`, that m roots of the discriminant reach.
     The class must bear m out, else CrossingError: m is at least the
     Milnor number mu, and above it only where the pencil is tangent to
     the discriminant.  The witness is the certified singular point
@@ -516,19 +505,19 @@ def _crossing(pencil, chart, t, m, member, classified, near=None):
     if m < mu:
         raise CrossingError(
             f"count mismatch: a {label} member at {t} needs multiplicity "
-            f"at least {mu}, but {m} fitted roots reach it")
+            f"at least {mu}, but {m} roots of the discriminant reach it")
     if m > mu:
         # the tangent cone of the discriminant at the member is the union
         # of the hyperplanes g(p) = 0 of its singular points p, counted
         # with their Milnor numbers (Teissier), so more roots than mu meet
         # there only where the direction cubic vanishes at some p
-        direction = _chart_pair(pencil, chart)[1]
+        direction = (pencil.f1 if chart == 0 else pencil.f0).coeffs
         value = min(abs(eval_coeffs(direction / np.abs(direction).max(),
                                     sp.point.coords))
                     for sp in cert.singular.points)
         if value > 1e-6:
             raise CrossingError(
-                f"count mismatch: {m} fitted roots reach the {label} member "
+                f"count mismatch: {m} roots reach the {label} member "
                 f"at {t}, but the pencil is not tangent to the "
                 f"discriminant there ({value:.1e})")
     return Crossing(parameter=t, multiplicity=m, label=label, member=member,

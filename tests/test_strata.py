@@ -15,6 +15,12 @@ Oracle notes:
    degree drop 10.
 """
 
+import itertools
+import math
+from fractions import Fraction
+from functools import cache
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -27,20 +33,18 @@ from cubicflex import (Certificate, CrossingError, CubicForm, Net,
 from cubicflex import newton, strata
 from cubicflex.errors import RootFindingError
 from cubicflex.forms import (EXP2, MONOMIAL_INDEX, eval_gradient,
-                             gradient_coeffs, greedy_distinct,
-                             substitute_linear)
-from cubicflex.locus import _FLEX_FRAME
+                             greedy_distinct)
 from cubicflex.roots import UniPoly, all_roots
-from cubicflex.strata import (MILNOR, _crossing_newton, _framed_discriminant,
-                              _line_multiplication_matrix, _macaulay_dets,
-                              classify_all, line_division_residuals)
+from cubicflex.strata import (MILNOR, _crossing_newton,
+                              _line_multiplication_matrix, classify_all,
+                              line_division_residuals)
 from cubicflex.track import bypass_loop
 from cubicflex.verify import CLASSIFY_CORPUS
 
 M = CubicForm.from_monomials
-# z1^2 z2 + z2^2 z3 + z3^2 z1: smooth, and the extraneous minor of its
-# Macaulay matrix is 0 in the identity frame
+# z1^2 z2 + z2^2 z3 + z3^2 z1: smooth, with S = 0 and T = 2/9
 KLEIN = M({(2, 1): 1, (0, 2): 1, (1, 0): 1})
+EPS = np.finfo(float).eps
 
 
 def rand_cubic(rng):
@@ -178,15 +182,6 @@ class TestClassify:
 
 
 class TestDiscriminant:
-    def test_stacked_macaulay_determinants(self):
-        # one stacked det per size equals the per-matrix determinants
-        rng = np.random.default_rng(8)
-        Q = (rng.standard_normal((5, 3, 6))
-             + 1j * rng.standard_normal((5, 3, 6)))
-        det15, det3 = _macaulay_dets(Q)
-        for k in range(5):
-            assert (det15[k], det3[k]) == _macaulay_dets(Q[k])
-
     def test_fermat_value_exact(self):
         assert discriminant_value(fermat_cubic()) == pytest.approx(
             531441.0, rel=1e-10)
@@ -225,20 +220,13 @@ class TestDiscriminant:
         # det(U)^12 multiple a frame change would leave in
         assert discriminant_value(KLEIN) == pytest.approx(729, rel=1e-9)
 
-    def test_vanishing_minor_on_the_unit_circle_takes_another_radius(self):
-        # f1 is scaled so that the member at the sample u = 1 has a
-        # vanishing extraneous minor in the frame: that sample is garbage,
-        # the unit circle's fit leaves a tail above degree 12, and the fit
-        # comes from the next radius
+    def test_pencil_with_a_vanishing_macaulay_minor(self):
+        # f1 is scaled so that the member at u = 1 has a vanishing
+        # extraneous minor of the Macaulay matrix in the generic frame that
+        # once gave the discriminant: the polynomial does not care
         rng = np.random.default_rng(4)
         f0, f1 = rand_cubic(rng), rand_cubic(rng)
-        a0, a1 = (substitute_linear(f.coeffs, _FLEX_FRAME) for f in (f0, f1))
-        minor = [_macaulay_dets(gradient_coeffs(a0 + u * a1))[1]
-                 for u in (1, 1j, -1, -1j)]
-        root = np.roots(np.fft.fft(minor)[::-1])[0]
-        us = np.exp(2j * np.pi * np.arange(25) / 25)
-        unit = np.fft.fft(_framed_discriminant(a0 + us[:, None] * root * a1))
-        assert np.abs(unit[13:]).max() > 1e-6 * np.abs(unit).max()
+        root = 0.302713802278694 - 0.023069959126429063j
         pencil = Pencil(f0, CubicForm(root * f1.coeffs))
         poly = UniPoly(pencil_discriminant_fit(pencil), rel=0.0)
         for u in (0.3 + 0.2j, -0.5j, 2.0):
@@ -252,6 +240,130 @@ class TestDiscriminant:
         want[0], want[3], want[6], want[9] = 531441.0, 59049.0, 2187.0, 27.0
         fit = pencil_discriminant_fit(hesse_pencil())
         assert np.allclose(fit, want, rtol=1e-9, atol=1e-4)
+
+    @pytest.mark.parametrize("case", range(3), ids=["Klein", "rng131",
+                                                    "rng132"])
+    def test_invariants_against_the_expanded_brackets(self, case):
+        # the brackets summed in 40 digits from the float coefficients;
+        # the Klein cubic's S = 0 and T = 2/9 are exact, and give its
+        # discriminant (3^10 / 4)(2/9)^2 = 729
+        f = KLEIN if case == 0 else rand_cubic(
+            np.random.default_rng(130 + case))
+        with mpmath.workdps(40):
+            want = [complex(_bracket_value(name, f.coeffs)) for name in "ST"]
+        for (value, error), w in zip(strata._invariants(f.coeffs[None]),
+                                     want):
+            assert abs(value[0] - w) <= 16 * EPS * error[0]
+        if case == 0:
+            assert [_bracket_value(name, f.coeffs) for name in "ST"] == [
+                0, Fraction(2, 9)]
+
+    def test_null_cone(self):
+        # S = T = 0 on the cusp and on every stratum below it, and not
+        # both on the nodal strata
+        null = {"B22", "B32", "B4", "B5", "B7"}
+        for f, want, _, _ in NAMED_CASES[1:]:
+            (s, s_err), (t, t_err) = strata._invariants(f.coeffs[None])
+            zero = abs(s[0]) <= EPS * s_err[0], abs(t[0]) <= EPS * t_err[0]
+            assert all(zero) if want in null else not any(zero)
+
+    @pytest.mark.parametrize("stratum", list(MILNOR))
+    def test_degree_drop_at_a_special_end(self, stratum):
+        # Gaussian images of the named cubics with an isolated singular
+        # point, at u = infinity: the top coefficients within rounding are
+        # as many as the Milnor number
+        S = {want: f for f, want, _, _ in NAMED_CASES}[str(stratum)]
+        rng = np.random.default_rng(140)
+        for _ in range(5):
+            g = rand_cubic(rng)
+            image = S.transform(rng.standard_normal((3, 3))
+                                + 1j * rng.standard_normal((3, 3)))
+            fit = pencil_discriminant_fit(Pencil(g, image))
+            assert 12 - np.flatnonzero(fit)[-1] == MILNOR[stratum]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_roots_near_the_triple_line(self, seed):
+        # the probe lines of the triple line pass through x^3 + 0.01 Fermat,
+        # where the 8 crossings near x^3 cluster within about 0.01: every
+        # root against a 60-digit reference from the same brackets
+        f0 = CubicForm(M({(3, 0): 1}).coeffs + 0.01 * fermat_cubic().coeffs)
+        g = rand_cubic(np.random.default_rng(seed))
+        fit = pencil_discriminant_fit(Pencil(f0, g))
+        got = all_roots(UniPoly(fit, rel=0.0), cluster_radius=0.0).roots
+        with mpmath.workdps(60):
+            want = np.array(_reference_roots(f0.coeffs, g.coeffs),
+                            dtype=complex)
+        assert len(got) == len(want) == 12
+        assert np.abs(got[:, None] - want).min(axis=1).max() < 1e-8
+        assert np.abs(got[:, None] - want).min(axis=0).max() < 1e-8
+
+
+def _bracket_product(brackets):
+    """The product of the brackets (k l m), each the determinant of the
+    coordinates of symbols k, l and m, expanded by sympy, as a polynomial
+    in the ten coefficients c of the cubic: {exponents of c: coefficient}.
+    A monomial a^e of degree 3 in the coordinates of one symbol a becomes
+    c_e divided by the multinomial 3! / e!, since (a . z)^3 = f."""
+    import sympy
+
+    n = 1 + max(max(b) for b in brackets)
+    ring, *z = sympy.ring([f"z{i}" for i in range(3 * n)], sympy.ZZ)
+    product = ring.one
+    for b in brackets:
+        x, y, w = (z[3 * k:3 * k + 3] for k in b)
+        product *= sum(int(sympy.LeviCivita(*p)) * x[p[0]] * y[p[1]] * w[p[2]]
+                       for p in itertools.permutations(range(3)))
+    out = {}
+    for exps, coeff in product.terms():
+        key, den = [0] * 10, 1
+        for k in range(n):
+            e = exps[3 * k:3 * k + 3]
+            key[MONOMIAL_INDEX[e[:2]]] += 1
+            den *= 6 // math.prod(map(math.factorial, e))
+        out[tuple(key)] = out.get(tuple(key), 0) + Fraction(int(coeff), den)
+    return {k: v for k, v in out.items() if v}
+
+
+@cache
+def _brackets(name):
+    """S = (abc)(abd)(acd)(bcd) or T = (abc)(abd)(ace)(bcf)(def)^2."""
+    return _bracket_product({
+        "S": [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)],
+        "T": [(0, 1, 2), (0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5),
+              (3, 4, 5)]}[name])
+
+
+def _bracket_value(name, coeffs):
+    """S or T at the coefficients: exact for integer coefficients, else
+    in mpmath's working precision."""
+    if all(c.imag == 0 and c.real == int(c.real) for c in coeffs):
+        c = [int(x.real) for x in coeffs]
+    else:
+        c = [mpmath.mpc(x) for x in coeffs]
+    return sum(w * math.prod(ci ** k for ci, k in zip(c, key))
+               for key, w in _brackets(name).items())
+
+
+def _reference_roots(c0, c1):
+    """The 12 roots of the discriminant of c0 + u c1, from the brackets in
+    mpmath's working precision."""
+    def mul(p, q):
+        return [sum(p[i] * q[k - i] for i in range(max(0, k - len(q) + 1),
+                                                   min(k, len(p) - 1) + 1))
+                for k in range(len(p) + len(q) - 1)]
+
+    lines = [[mpmath.mpc(a), mpmath.mpc(b)] for a, b in zip(c0, c1)]
+    S, T = [0] * 5, [0] * 7
+    for name, poly in (("S", S), ("T", T)):
+        for key, w in _brackets(name).items():
+            term = [mpmath.mpf(w.numerator) / w.denominator]
+            for line, k in zip(lines, key):
+                for _ in range(k):
+                    term = mul(term, line)
+            for i, x in enumerate(term):
+                poly[i] += x
+    disc = [a - b / 6 for a, b in zip(mul(T, T), mul(mul(S, S), S))]
+    return mpmath.polyroots(disc[::-1], maxsteps=200, extraprec=400)
 
 
 class TestPencilCrossings:
@@ -304,6 +416,48 @@ class TestPencilCrossings:
         assert abs(cusp.parameter[1] / cusp.parameter[0]) < 1e-8
         assert by_label["B7"].multiplicity == 10
         assert pc.total_multiplicity() == 12
+
+    @pytest.mark.parametrize("c", [1, 3, 216, 1000])
+    def test_scaled_hesse_pencil(self, c):
+        # Pencil(f0, c f1) has the crossings of Pencil(f0, f1), with the
+        # parameters scaled by 1/c; at c = 3 the three finite triangles
+        # sit on |u| = 1, and at c = 216 f1 is the Hessian of f0
+        pc = pencil_crossings(Pencil(fermat_cubic(), c * triangle_cubic()))
+        assert [(x.label, x.multiplicity) for x in pc.crossings] == [
+            (StratumLabel.B31, 3)] * 4
+        assert pc.infinite_multiplicity == 3
+        finite = np.array([x.chart_value() for x in pc.crossings[:3]])
+        want = np.array([x.chart_value()
+                         for x in pencil_crossings(hesse_pencil())
+                         .crossings[:3]]) / c
+        assert np.abs(finite - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("c", [1e-6, 1e6])
+    def test_scaled_gaussian_pencil(self, c):
+        # the same labels and multiplicities, and the parameters scaled by
+        # 1/c, on pencils through a node, a cusp and a triple point
+        for stratum in ("B1", "B22", "B4"):
+            pencil, _ = stratum_pencil(stratum, 0)
+            pc = pencil_crossings(pencil)
+            scaled = pencil_crossings(Pencil(pencil.f0, c * pencil.f1))
+            assert [(x.label, x.multiplicity) for x in scaled.crossings] \
+                == [(x.label, x.multiplicity) for x in pc.crossings]
+            u = np.array([x.chart_value() for x in pc.crossings])
+            v = np.array([x.chart_value() for x in scaled.crossings])
+            assert np.abs(v * c - u).max() <= 1e-12 * np.abs(u).max()
+
+    @pytest.mark.parametrize("seed", [None, 101, 102, 103, 104, 105],
+                             ids=["fermat"] + [f"rng{k}" for k in
+                                               range(101, 106)])
+    def test_pencil_of_a_cubic_and_its_hessian(self, seed):
+        # the Hesse pencil of a smooth cubic holds four triangles, each
+        # crossed with multiplicity 3; the Hessian's coefficients are of
+        # another size than the cubic's
+        f = (fermat_cubic() if seed is None
+             else rand_cubic(np.random.default_rng(seed)))
+        pc = pencil_crossings(Pencil(f, f.hessian_form()))
+        assert [(x.label, x.multiplicity) for x in pc.crossings] == [
+            (StratumLabel.B31, 3)] * 4
 
     @pytest.mark.parametrize("seed", [20, 21, 22])
     def test_random_pencils_total_twelve(self, seed):
