@@ -3,11 +3,11 @@
 Inside the discriminant hypersurface, the cuspidal cubics form a
 codimension-2 locus of degree 24.  A generic 2-plane of cubics (a net)
 therefore contains exactly 24 cuspidal members.  `net_cusp_members`
-finds them from one eigensolve: a point where some member is singular
-with a degenerate quadratic part is a common zero of two plane curves,
-whose hidden-variable resultant is a matrix polynomial.  Newton on the
-full cusp condition polishes every eigenvalue's point, and a count other
-than 24 is refused.
+finds them as S = T = 0 on the net's plane, where the Aronhold invariants
+S and T of the members are a quartic and a sextic with 4 * 6 = 24 common
+zeros.  One eigensolve of their hidden-variable resultant, a matrix
+polynomial, gives a point near each cusp; Newton on the full cusp
+condition polishes every point, and a count other than 24 is refused.
 
 Run:  python3 demos/06_net_of_cubics.py   (takes about a second)
 """

@@ -23,10 +23,11 @@ parameter).  The roots that reach a crossing are its multiplicity, which
 the class of its member must bear out; the distinct members are
 classified together.
 
-net_cusp_members() finds the cuspidal members of a two-parameter net:
-one hidden-variable resultant eigensolve gives a candidate point near
-every cusp, and Newton on the cusp system {grad f = 0, det H = 0}
-polishes each once, in the chart of its largest coordinate.
+net_cusp_members() finds the cuspidal members of a two-parameter net
+from S = T = 0 on the net's plane: one hidden-variable eigensolve of
+their Sylvester matrix gives a candidate point near every cusp, and
+Newton on the cusp system {grad f = 0, det H = 0} polishes each once, in
+the chart of its largest coordinate.
 
 Every Newton solve here builds residuals and Jacobians from locus._jet
 only; the iteration itself is the shared batched core in newton.py.
@@ -44,8 +45,7 @@ from . import newton
 from .errors import CrossingError, NumericalError
 from .forms import (DERIV, LEVI_CIVITA, TRIP, CubicForm, Pencil, ProjPoint,
                     by_value, chart_points, eval_coeffs, eval_gradient,
-                    gradient_coeffs, greedy_distinct, monomial_values,
-                    proj_distance, substitute_linear, third_partials)
+                    greedy_distinct, proj_distance, third_partials)
 from .locus import (_FLEX_FRAME, _FREE, _NO_LINE_PAIR, SingularSet,
                     _binary_quadratic_roots, _chart_coords, _det_jet,
                     _first_error, _jet, _singular_candidates, _singular_sets)
@@ -247,9 +247,9 @@ _S_SUBSCRIPTS = 'zilo,zjmr,zkps,znqt,zaijk,zblmn,zcopq,zdrst->zabcd'
 _T_SUBSCRIPTS = ('zADG,zBEJ,zCHM,zFIP,zKNQ,zLOR,'
                  'zaABC,zbDEF,zcGHI,zdJKL,zeMNO,zfPQR->zabcdef')
 _BRACKET = np.array([LEVI_CIVITA, np.abs(LEVI_CIVITA)])
-# greedy pairwise paths, for a pencil's stack of two tensors; numpy's
-# default cap on the intermediates (the largest operand) would leave one
-# naive loop over all 18 indices of T
+# greedy pairwise paths, found for a pencil's stack of two tensors and
+# taken for one or three; numpy's default cap on the intermediates (the
+# largest operand) would leave one naive loop over all 18 indices of T
 _S_PATH, _T_PATH = (
     np.einsum_path(sub, *[_BRACKET] * n, *[np.ones((2, 2, 3, 3, 3))] * n,
                    optimize=('greedy', 10 ** 4))[0]
@@ -257,22 +257,26 @@ _S_PATH, _T_PATH = (
 
 
 def _invariants(cs):
-    """S(u) and T(u), ascending in u, on the line cs[0] + u cs[1] of a pair
-    of cubics cs (2, 10), or S and T of cs[0] alone (1, 10): two pairs
-    (value, error).  The error is the same contraction of absolute values,
-    and the rounding of the value is a small multiple of eps times it.
-    Each coefficient is the sum of its own polarised terms, so its error
-    is its own, whatever the scales of the two cubics."""
+    """S and T, two pairs (value, error), on the family of a stack cs (K,
+    10) of K = 1, 2 or 3 cubics: of cs[0] alone (1,); ascending in u on the
+    line cs[0] + u cs[1]; or grids (5, 5) and (7, 7) of the coefficients of
+    u^i v^j on the plane cs[0] + u cs[1] + v cs[2].  The error is the same
+    contraction of absolute values, and the rounding of the value is a
+    small multiple of eps times it.  Each coefficient sums its own
+    polarised terms, so its error is its own, whatever the cubics' scales."""
     A = third_partials(cs) / 6
     X = np.array([A, np.abs(A)])
     out = []
     for sub, n, path in ((_S_SUBSCRIPTS, 4, _S_PATH),
                          (_T_SUBSCRIPTS, 6, _T_PATH)):
         terms = np.einsum(sub, *[_BRACKET] * n, *[X] * n, optimize=path)
-        # a term's degree in u is the number of copies taken from cs[1]
-        degree = np.indices(terms.shape[1:]).sum(axis=0).ravel()
-        value, error = terms.reshape(2, -1) @ (
-            degree[:, None] == np.arange(degree.max() + 1))
+        # a term's degree in the parameter of cs[k] is its copies of cs[k]
+        shape, copy = (n + 1,) * (len(cs) - 1), np.indices(terms.shape[1:])
+        bins = np.ravel_multi_index([(copy == k).sum(axis=0)
+                                     for k in range(1, len(cs))], shape)
+        value, error = (terms.reshape(2, -1) @ (
+            bins.reshape(-1, 1) == np.arange((n + 1) ** len(shape)))
+        ).reshape((2, -1) + shape[1:])
         out.append((value, error.real))
     return out
 
@@ -534,58 +538,53 @@ class NetCusp(NamedTuple):
     residuals: dict
 
 
-_Y0 = 0.4173 - 0.2861j      # y = _Y0 + 1/t, fixed and generic
-
-
 def _net_cusp_candidates(cs):
     """Points (n, 3) near every cusp of a cuspidal member of the net of
-    the cubics cs (3, 10), among spurious ones, by one hidden-variable
-    eigensolve (Nakatsukasa, Noferini and Townsend, Numer. Math. 2015).
-    With g_i = f_i(U z) in the frame of inflection_points, the member
-    k = G[0] x G[1] is singular where J = det[grad g_i] (degree 6)
-    vanishes, and cuspidal where the (0, 1) minor c of its second
-    partials (degree 10) does.  An FFT of t^10 J and t^10 c on the 11 x 11
-    roots of unity (x, t) makes their Sylvester matrix in x a matrix
-    polynomial S(t), whose block companion has the t of the common zeros
-    as eigenvalues.  Raises CrossingError when S_10 (y = _Y0) is singular.
-    """
-    g = np.array([substitute_linear(c, _FLEX_FRAME) for c in cs])
-    w = np.exp(2j * np.pi * np.arange(11) / 11)
-    P = np.stack(np.broadcast_arrays(w[:, None], _Y0 + 1 / w, 1), axis=-1)
-    G = np.einsum('abm,ivm->abvi', monomial_values(P, 2), gradient_coeffs(g))
-    k = np.cross(G[..., 0, :], G[..., 1, :])
-    H = np.einsum('abi,iluv,abl->abuv', k, third_partials(g), P)
-    Jc, cc = np.fft.fft2(np.stack([np.linalg.det(G), H[..., 0, 0]
-                                   * H[..., 1, 1] - H[..., 0, 1] ** 2])
-                         * w ** 10)      # coefficients of x^i t^m, times 121
-    S = np.zeros((11, 16, 16), dtype=complex)
-    for r, (c, shift) in enumerate([(Jc[:7], s) for s in range(10)]
-                                   + [(cc, s) for s in range(6)]):
-        S[:, r, shift:shift + len(c)] = c.T / np.abs(c).max()
-    if np.linalg.cond(S[10]) > 1e12:
-        raise CrossingError("the net's cusp system has a singular "
-                            f"Sylvester matrix at the fixed y = {_Y0}")
-    C = np.eye(160, k=16, dtype=complex)
-    C[-16:] = -np.hstack(np.linalg.solve(S[10], S[:10]))
+    the cubics cs (3, 10), among spurious ones, from S = T = 0 on the
+    net's plane: a quartic and a sextic with 24 common zeros, found by one
+    hidden-variable eigensolve (Nakatsukasa, Noferini and Townsend, Numer.
+    Math. 2015).  On the plane (1, x, y) of the cubics mixed by the
+    unitary _FLEX_FRAME, the Sylvester matrix in y of S and T has degree 6
+    in x; with x = 1/t, its block companion has the t of the common zeros
+    as eigenvalues, and y is read off the eigenvectors.  Each member's
+    point is its least-residual singular-point candidate.  The frame puts
+    a generic line at x = 0, and CrossingError is raised when the leading
+    block there is singular, as where S or T vanishes on the whole net."""
+    (S, S_err), (T, T_err) = _invariants(_FLEX_FRAME.T @ cs)
+    # with x = 1/t, the coefficients of t^m y^j of t^6 S (six rows) and
+    # t^6 T (four) are those of x^(6 - m) y^j, each scaled by the size of
+    # its terms, if any: a grid within its rounding leaves its rows near
+    # zero, and the leading block singular
+    R = np.zeros((7, 10, 10), dtype=complex)
+    for r in range(10):
+        c, e = (S, S_err) if r < 6 else (T, T_err)
+        R[7 - len(c):, r, r % 6:r % 6 + len(c)] = c[::-1] / (e.max() or 1)
+    if np.linalg.cond(R[6]) > 1e12:
+        raise CrossingError("the net's S and T have a singular Sylvester "
+                            "matrix at x = 0")
+    C = np.eye(60, k=10, dtype=complex)
+    C[-10:] = -np.hstack(np.linalg.solve(R[6], R[:6]))
     t, v = np.linalg.eig(C)
-    # each block of an eigenvector is a multiple of (1, x, ..., x^15): x is
+    # each block of an eigenvector is a multiple of (1, y, ..., y^9): y is
     # the least-squares ratio of shifted entries, spoilt by no tiny entry
-    V = v.reshape(10, 16, -1)
+    V = v.reshape(6, 10, -1)
     with np.errstate(divide='ignore', invalid='ignore'):
-        z = np.stack([(V[:, 1:] * V[:, :-1].conj()).sum(axis=(0, 1))
-                      / (abs(V[:, :-1]) ** 2).sum(axis=(0, 1)),
-                      _Y0 + 1 / t, np.ones_like(t)], axis=1)
-    return z[(np.abs(t) > 1e-8) & np.isfinite(z).all(axis=1)] @ _FLEX_FRAME.T
+        p = np.stack([np.ones_like(t), 1 / t,
+                      (V[:, 1:] * V[:, :-1].conj()).sum(axis=(0, 1))
+                      / (abs(V[:, :-1]) ** 2).sum(axis=(0, 1))], axis=1)
+    w = p[(np.abs(t) > 1e-8) & np.isfinite(p).all(axis=1)] @ _FLEX_FRAME.T
+    z, _, failed = _singular_candidates(w @ cs)
+    return z[~failed, 0]
 
 
 def net_cusp_members(net):
     """All cuspidal members f0 + alpha f1 + beta f2 of a general net:
     Newton on the cusp system {grad f = 0, det H = 0} in (z_a, z_b,
     alpha, beta), with det H the (a, b) minor of the second partials, from
-    every candidate of _net_cusp_candidates in the chart of its largest
-    coordinate, the distinct members reached classified in one pass, and
-    the B22 ones kept.  A general net has 24, the degree of the cuspidal
-    locus; another count raises CrossingError."""
+    each point of _net_cusp_candidates (S = T = 0 on the net's plane) in
+    the chart of its largest coordinate, the distinct members reached
+    classified in one pass, and the B22 ones kept.  A general net has 24,
+    the degree of the cuspidal locus; another count raises CrossingError."""
     cs = np.array([net.f0.coeffs, net.f1.coeffs, net.f2.coeffs])
     free, z = _chart_coords(_net_cusp_candidates(cs))
     n = np.arange(len(z))[:, None]

@@ -287,7 +287,7 @@ def suite_counts(seed):
     r.check("pencil_total_multiplicity", "all 12", pencil_multiplicities)
 
     def net_cusps():
-        rng_net = np.random.default_rng(3)
+        rng_net = np.random.default_rng(seed + 3)
         forms = [CubicForm(rng_net.standard_normal(10)
                            + 1j * rng_net.standard_normal(10))
                  for _ in range(3)]
