@@ -13,10 +13,12 @@ regular zeros found must be the simple inflection points.
 
 Singular points of a cone (triple point or singular line) follow from
 its binary form.  Otherwise they are common zeros of the three partial
-conics: two fixed generic combinations of the conics meet in at most
-four points, found exactly by splitting a line pair of their pencil.
-A local normal-form analysis names each near-singular one (node / cusp /
-tacnode), and Gauss-Newton pins it on a system regular at its kind,
+conics: two generic polars, fixed combinations of the conics, meet in at
+most four points, found exactly by splitting a line pair of their pencil.
+At a singular point they meet with its Milnor number as multiplicity
+(Milnor, Singular Points of Complex Hypersurfaces, 1968), so the count of
+those points that collapse onto it names it: 1 a node, 2 a cusp, 3 a
+tacnode.  Gauss-Newton pins it on a system regular at its kind,
 {grad f = 0} deflated by det H at a cusp and again at a tacnode.  One
 jet, _jet, builds every singular-point system, here and in strata, in
 the chart of the point's largest coordinate.  singular_sets carries a
@@ -284,8 +286,10 @@ def _chart_coords(p):
     return free, p[rows, free] / p[rows, chart[:, None]]
 
 
-# the residuals that pin each kind: {f_a, f_b}, then det H, then the
-# two minors H[i] ^ grad det H
+# the kind of an isolated singular point by its Milnor number, and the
+# residuals that pin each kind: {f_a, f_b}, then det H, then the two
+# minors H[i] ^ grad det H
+_MILNOR_KIND = {1: 'node', 2: 'cusp', 3: 'tacnode'}
 _PIN_ROWS = {'node': 2, 'cusp': 3, 'tacnode': 5}
 
 
@@ -368,9 +372,10 @@ def singular_points(f):
     A cone (triple point or singular line) is read off its binary form.
     Otherwise the singular points are isolated common zeros of the three
     partial conics.  The common points of two fixed generic combinations
-    of them are found exactly, each near-singular one is named by its
-    local normal form and pinned on a system regular at its kind, and
-    those where the whole gradient then vanishes are kept.
+    of them are found exactly.  Each near-singular one is named by its
+    Milnor number, the count of them that collapse onto it (1 a node, 2 a
+    cusp, 3 a tacnode), and pinned on a system regular at its kind; those
+    where the whole gradient then vanishes are kept.
     """
     fn = f if isinstance(f, CubicForm) else CubicForm(f)
     return singular_sets([fn.coeffs])[0]
@@ -396,24 +401,26 @@ def _singular_sets(coeffs):
         except NumericalError as exc:
             out[i] = exc
     rest = np.flatnonzero(kdim == 0)
-    owner, p = [], []
+    owner, p, gated, gowner = [], [], [], []
     for i, zi, ri, failed in zip(rest, *_singular_candidates(c[rest])):
         out[i] = NumericalError(_NO_LINE_PAIR) if failed else []
-        # a cusp or tacnode candidate can be off by ~1e-5, so a loose gate
-        # keeps the near-singular ones; the strict gate comes after pinning
+        # a point of Milnor number mu gives mu candidates, at most 1e-5
+        # apart on Gaussian images, up to 1.3e-2 on badly conditioned ones;
+        # a loose gate keeps them, the strict gate comes after pinning
         zi = zi[ri < 1e-6]
-        zi = zi[greedy_distinct(zi, 1e-3)]
-        owner += [i] * len(zi)
-        p += list(zi)
+        kept = greedy_distinct(zi, 1e-3)
+        owner += [i] * len(kept)
+        p += list(zi[kept])
+        gowner += [i] * len(zi)
+        gated += list(zi)
     if owner:
         cs, p = c[owner], np.array(p)
-        kinds = _local_type(cs, p)
+        # mu: the count of gated candidates of its cubic nearest each point
+        d = np.where(np.equal.outer(gowner, owner),
+                     proj_distance(np.array(gated), p), np.inf)
+        mu = np.bincount(np.argmin(d, axis=1), minlength=len(p))
+        kinds = np.array([_MILNOR_KIND.get(m, 'degenerate') for m in mu])
         q = _pin(cs, p, kinds)
-        # the rank cut of _local_type can name a badly conditioned node a
-        # cusp, and then the deflated system has no solution
-        redo = np.flatnonzero((kinds == 'cusp') & ~_is_singular(cs, q))
-        kinds[redo] = 'node'
-        q[redo] = _pin(cs[redo], p[redo], kinds[redo])
         kept = _is_singular(cs, q)
         for i, qi, kind in zip(np.array(owner)[kept], q[kept], kinds[kept]):
             out[i].append(SingularPoint(ProjPoint(qi), str(kind)))
@@ -421,43 +428,6 @@ def _singular_sets(coeffs):
     return [SingularSet(tuple(sorted(s, key=lambda sp: (
         sp.local_type, *_coords_key(sp.point))))) if isinstance(s, list)
         else s for s in out]
-
-
-def _local_type(coeffs, points):
-    """Normal-form analysis of isolated singular points: the kind (m,) of
-    each row of points (m, 3) on the cubic of the same row of coeffs."""
-    free, x = _chart_coords(points)
-    g, _, H, t = _jet(third_partials(coeffs)[:, None], free, x)
-    # the type is read before the point is pinned, when a cusp or tacnode
-    # can be off by ~1e-5; that error contaminates the Taylor coefficients
-    # of f in (z_a, z_b): f (by Euler's relation), f_a, f_b, H_aa / 2,
-    # H_ab, H_bb / 2 and t_aaa / 6, t_aab / 2, t_abb / 2, t_bbb / 6
-    taylor = np.column_stack([
-        (g * chart_points(x, free)).sum(axis=1) / 3,
-        np.take_along_axis(g, free, axis=1),
-        H[:, [0, 0, 1], [0, 1, 1]] / [2, 1, 2],
-        t[:, [0, 0, 0, 1], [0, 0, 1, 1], [0, 1, 1, 1]] / [6, 2, 2, 6]])
-    tol = 1e-4 * np.maximum(1.0, np.abs(taylor).max(axis=1))
-    det2, _ = _det_jet(H, t)
-    qscale = np.abs(H).max(axis=(1, 2))
-    # an honest node has |det2| comparable to qscale**2, while a rank-one
-    # quadratic part contaminated by point error sits many orders lower,
-    # so the rank cut can afford a generous margin.  A vanishing quadratic
-    # part makes a triple point, and a cubic with a triple point is a
-    # cone, which _cone_analysis takes
-    kind = np.where(qscale <= tol, 'degenerate', np.where(
-        abs(det2) > 1e-5 * np.maximum(1.0, qscale) ** 2, 'node', 'rank one'))
-    one = np.flatnonzero(kind == 'rank one')
-    if len(one):
-        # in the frame (u, v) of (z_a, z_b) where the kernel of the
-        # quadratic part is the u-axis, read off the lowest cubic terms
-        _, vecs = np.linalg.eigh(H[one].conj().swapaxes(1, 2) @ H[one])
-        u = vecs[:, :, 0]
-        uuu, uuv = np.einsum('nijk,ni,nj,nkl->ln', t[one], u, u,
-                             vecs) / [[6], [2]]
-        kind[one] = np.where(abs(uuu) > tol[one], 'cusp', np.where(
-            abs(uuv) > tol[one], 'tacnode', 'degenerate'))
-    return kind
 
 
 # ---------------------------------------------------------------------------

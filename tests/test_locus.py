@@ -169,6 +169,14 @@ class TestSingularPoints:
             f = CubicForm(rng.standard_normal(10)
                           + 1j * rng.standard_normal(10))
             assert singular_points(f).is_empty()
+        # near a cusp two polar intersections still collapse, so the point
+        # is pinned as a cusp, which the smooth cubic has not; pinned as a
+        # node it passed the strict gate
+        for eps, k, real in [(1e-11, 39, False), (1e-9, 7, True),
+                             (1e-10, 117, True)]:
+            f = perturbed(cusp_family(0.0), eps, k, real)
+            assert singular_points(f).is_empty()
+            assert classify(f)[0] is StratumLabel.SMOOTH
 
     def test_local_types_by_stratum(self):
         cases = [
@@ -389,6 +397,10 @@ class TestFixedFrame:
     @pytest.mark.parametrize("kind,eps,k,real", [
         *[("cusp", 1e-11, k, False) for k in (*range(6), *range(100, 110))],
         ("cusp", 1e-8, 7, True),
+        *[("cusp", eps, k, False)
+          for eps, k in ((1e-10, 12), (1e-11, 12), (1e-11, 39), (1e-11, 70))],
+        *[("cusp", eps, k, True) for eps, k in (
+            (1e-8, 117), (1e-9, 117), (1e-10, 117), (1e-9, 7), (1e-10, 7))],
         *[("node", 1e-10, k, False) for k in (59, 137, 150)]])
     def test_nine_flexes_close_to_the_singular_point(self, kind, eps, k,
                                                      real):
